@@ -12,8 +12,10 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <thread>
 
 #include <sys/wait.h>
@@ -175,6 +177,86 @@ TEST(Artifact, CompileTwiceYieldsByteIdenticalArtifacts)
         EXPECT_EQ(artifact::encodeCompileResult(r1),
                   artifact::encodeCompileResult(r2))
             << name;
+    }
+}
+
+// --- Artifact digest golden -------------------------------------------------
+
+/** One compile of the digest golden: the sarabench compile_cold keys. */
+struct DigestKey
+{
+    std::string workload;
+    int par = 0;
+    bool solver = false;
+
+    std::string
+    label() const
+    {
+        return workload + " par " + std::to_string(par) +
+               (solver ? " solver" : "");
+    }
+};
+
+std::vector<DigestKey>
+digestKeys()
+{
+    std::vector<DigestKey> keys;
+    for (const auto &name : workloads::allWorkloadNames())
+        for (int par : {4, 8, 16, 32})
+            keys.push_back({name, par, false});
+    for (auto [name, par] : std::vector<std::pair<const char *, int>>{
+             {"bs", 8}, {"bs", 16}, {"bs", 32}, {"lstm", 32},
+             {"logreg", 32}, {"rf", 16}})
+        keys.push_back({name, par, true});
+    return keys;
+}
+
+TEST(Artifact, PackedBytesMatchDigestGolden)
+{
+    // Placement, partitions and token streams are all serialized, so a
+    // matching digest proves that the compiler made every decision the
+    // same way as the build that wrote the golden.
+    const std::string golden =
+        std::string(GOLDEN_DIR) + "/artifact_sha256.txt";
+    const std::string howTo =
+        "; if the change is intended, regenerate tests/golden/"
+        "artifact_sha256.txt with SARA_UPDATE_GOLDEN=1 test_artifact "
+        "--gtest_filter=Artifact.PackedBytesMatchDigestGolden";
+
+    std::vector<std::pair<std::string, std::string>> got;
+    for (const auto &k : digestKeys()) {
+        workloads::WorkloadConfig cfg;
+        cfg.par = k.par;
+        cfg.seed = 42;
+        compiler::CompilerOptions opt;
+        if (k.solver)
+            opt.partitioner = compiler::PartitionAlgo::Solver;
+        auto w = workloads::buildByName(k.workload, cfg);
+        std::string key = artifact::contentKey(w.program, opt);
+        auto r = compiler::compile(w.program, opt);
+        got.emplace_back(
+            k.label(),
+            support::Sha256::hexOf(artifact::packArtifact(key, r)));
+    }
+
+    if (std::getenv("SARA_UPDATE_GOLDEN")) {
+        std::ofstream out(golden);
+        for (const auto &[label, hex] : got)
+            out << hex << "  " << label << "\n";
+        GTEST_SKIP() << "regenerated " << golden;
+    }
+    std::ifstream in(golden);
+    ASSERT_TRUE(in.good()) << "missing " << golden << howTo;
+    std::map<std::string, std::string> want;
+    for (std::string line; std::getline(in, line);)
+        if (line.size() > 66)
+            want[line.substr(66)] = line.substr(0, 64);
+    EXPECT_EQ(want.size(), got.size()) << "key set drifted" << howTo;
+    for (const auto &[label, hex] : got) {
+        auto it = want.find(label);
+        ASSERT_NE(it, want.end()) << label << ": no golden digest" << howTo;
+        EXPECT_EQ(it->second, hex)
+            << label << ": packed artifact bytes changed" << howTo;
     }
 }
 
