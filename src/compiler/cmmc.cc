@@ -1,6 +1,8 @@
 #include "compiler/cmmc.h"
 
 #include <algorithm>
+#include <set>
+#include <tuple>
 
 #include "support/digraph.h"
 #include "support/logging.h"
@@ -91,53 +93,31 @@ reduceDepGraph(DepGraph &g)
         if (!e.backward)
             fwd.addEdge(e.src, e.dst);
     size_t before = fwd.numEdges();
-    fwd.transitiveReduction();
+    const Reachability reach = fwd.transitiveReduction();
     stats.forwardRemoved = static_cast<int>(before - fwd.numEdges());
-    std::vector<DepEdge> kept;
-    for (const auto &e : g.edges) {
-        if (e.backward || fwd.hasEdge(e.src, e.dst))
-            kept.push_back(e);
-    }
-    // Deduplicate forward edges that appeared multiple times.
+    // Keep the surviving edges in their original order; of several
+    // equal edges the first one wins.
+    std::set<std::tuple<size_t, size_t, bool, int32_t>> seen;
     std::vector<DepEdge> dedup;
-    for (const auto &e : kept) {
-        bool dup = false;
-        for (const auto &k : dedup)
-            if (k.src == e.src && k.dst == e.dst &&
-                k.backward == e.backward && k.loop == e.loop)
-                dup = true;
-        if (!dup)
+    size_t kept = 0;
+    for (const auto &e : g.edges) {
+        if (!e.backward && !fwd.hasEdge(e.src, e.dst))
+            continue;
+        ++kept;
+        if (seen.emplace(e.src, e.dst, e.backward, e.loop.v).second)
             dedup.push_back(e);
     }
-    stats.forwardRemoved +=
-        static_cast<int>(kept.size() - dedup.size());
+    stats.forwardRemoved += static_cast<int>(kept - dedup.size());
     g.edges = std::move(dedup);
 
     // --- Pass 2: backward-edge pruning. A backward edge (b -> a,
     // loop L, credit X) is subsumed when an alternative path from b to
     // a uses forward edges plus exactly one other backward edge with
-    // the same loop and credit (paper §III-A3b). ---
+    // the same loop and credit (paper §III-A3b). The reduction kept
+    // the forward DAG's reachability, so pass 1's closure answers the
+    // forward-path queries. ---
     auto forwardReach = [&](size_t from, size_t to) {
-        if (from == to)
-            return true;
-        std::vector<bool> seen(g.n, false);
-        std::vector<size_t> stack{from};
-        seen[from] = true;
-        while (!stack.empty()) {
-            size_t cur = stack.back();
-            stack.pop_back();
-            if (cur == to)
-                return true;
-            for (const auto &e : g.edges) {
-                if (e.backward || e.src != cur)
-                    continue;
-                if (!seen[e.dst]) {
-                    seen[e.dst] = true;
-                    stack.push_back(e.dst);
-                }
-            }
-        }
-        return false;
+        return from == to || reach.reaches(from, to);
     };
 
     for (size_t i = 0; i < g.edges.size(); ++i) {

@@ -152,11 +152,10 @@ globalMerge(dfg::Vudfg &graph, const CompilerOptions &options)
         ao.seed = options.solverSeed;
         ao.lowerBound =
             std::max(1, (totalOps + prob.maxOps - 1) / prob.maxOps);
+        PartitionEvaluator cost(prob);
         auto res = solver::anneal(
             prob.n, warm.assign,
-            [&](const std::vector<int> &a, bool *f) {
-                return partitionCost(prob, a, f);
-            },
+            [&](const std::vector<int> &a, bool *f) { return cost(a, f); },
             ao);
         sol.assign = res.feasible ? res.assign : warm.assign;
         sol.numPartitions = 0;

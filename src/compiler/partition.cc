@@ -34,74 +34,117 @@ double
 partitionCost(const PartitionProblem &prob, const std::vector<int> &assign,
               bool *feasible)
 {
-    bool ok = true;
+    return PartitionEvaluator(prob)(assign, feasible);
+}
+
+PartitionEvaluator::PartitionEvaluator(const PartitionProblem &prob)
+    : prob_(prob)
+{
+    succStart_.assign(prob.n + 1, 0);
+    for (const auto &[s, d] : prob.edges)
+        ++succStart_[s + 1];
+    for (int i = 0; i < prob.n; ++i)
+        succStart_[i + 1] += succStart_[i];
+    succ_.resize(prob.edges.size());
+    std::vector<int> fill(succStart_.begin(), succStart_.end() - 1);
+    for (const auto &[s, d] : prob.edges)
+        succ_[fill[s]++] = d;
+}
+
+double
+PartitionEvaluator::operator()(const std::vector<int> &assign,
+                               bool *feasible)
+{
+    const PartitionProblem &prob = prob_;
+    auto fail = [&] {
+        if (feasible)
+            *feasible = false;
+        return 1e18;
+    };
     int parts = 0;
     for (int a : assign)
         parts = std::max(parts, a + 1);
 
-    // Per-partition ops and arity.
-    std::vector<int> ops(parts, 0), aux(parts, 0);
-    std::vector<std::set<int>> inSrcs(parts);  // External source nodes.
-    std::vector<std::set<int>> outNodes(parts); // Nodes w/ external dest.
+    // Per-partition ops and arity: in-arity counts distinct external
+    // source nodes, out-arity distinct nodes with an external dest.
+    ops_.assign(parts, 0);
+    aux_.assign(parts, 0);
+    inArity_.assign(parts, 0);
+    outArity_.assign(parts, 0);
+    mark_.resize(std::max<size_t>(mark_.size(), parts), 0);
+    edgeStart_.assign(parts + 1, 0);
     for (int i = 0; i < prob.n; ++i) {
-        ops[assign[i]] += prob.opCost[i];
+        ops_[assign[i]] += prob.opCost[i];
         if (prob.maxAux > 0)
-            aux[assign[i]] += prob.auxCost[i];
-    }
-    for (const auto &[s, d] : prob.edges) {
-        if (assign[s] == assign[d])
-            continue;
-        inSrcs[assign[d]].insert(s);
-        outNodes[assign[s]].insert(s);
+            aux_[assign[i]] += prob.auxCost[i];
+        // Stamp each destination partition once per source node.
+        ++stamp_;
+        bool external = false;
+        for (int k = succStart_[i]; k < succStart_[i + 1]; ++k) {
+            int q = assign[succ_[k]];
+            if (q == assign[i])
+                continue;
+            external = true;
+            ++edgeStart_[assign[i] + 1];
+            if (mark_[q] != stamp_) {
+                mark_[q] = stamp_;
+                ++inArity_[q];
+            }
+        }
+        outArity_[assign[i]] += external;
     }
     for (int pIdx = 0; pIdx < parts; ++pIdx) {
-        if (ops[pIdx] > prob.maxOps ||
-            static_cast<int>(inSrcs[pIdx].size()) > prob.maxIn ||
-            static_cast<int>(outNodes[pIdx].size()) > prob.maxOut)
-            ok = false;
-        if (prob.maxAux > 0 && aux[pIdx] > prob.maxAux)
-            ok = false;
+        if (ops_[pIdx] > prob.maxOps || inArity_[pIdx] > prob.maxIn ||
+            outArity_[pIdx] > prob.maxOut)
+            return fail();
+        if (prob.maxAux > 0 && aux_[pIdx] > prob.maxAux)
+            return fail();
     }
 
     // Acyclicity across partitions + retiming gaps via partition
-    // longest-path depths.
-    std::vector<std::set<int>> succ(parts);
-    std::vector<int> indeg(parts, 0);
+    // longest-path depths. A partition pair joined by several edges
+    // appears several times in the CSR; the FIFO Kahn walk counts each
+    // copy in and out, and longest-path depths do not depend on the
+    // visit order.
+    for (int pIdx = 0; pIdx < parts; ++pIdx)
+        edgeStart_[pIdx + 1] += edgeStart_[pIdx];
+    edgeDst_.resize(edgeStart_[parts]);
+    cursor_.assign(edgeStart_.begin(), edgeStart_.end() - 1);
+    indeg_.assign(parts, 0);
     for (const auto &[s, d] : prob.edges) {
         int a = assign[s], b = assign[d];
-        if (a != b && succ[a].insert(b).second)
-            ++indeg[b];
+        if (a == b)
+            continue;
+        edgeDst_[cursor_[a]++] = b;
+        ++indeg_[b];
     }
-    std::deque<int> ready;
-    for (int i = 0; i < parts; ++i)
-        if (indeg[i] == 0)
-            ready.push_back(i);
-    std::vector<int> depth(parts, 0);
-    int seen = 0;
-    while (!ready.empty()) {
-        int cur = ready.front();
-        ready.pop_front();
-        ++seen;
-        for (int nxt : succ[cur]) {
-            depth[nxt] = std::max(depth[nxt], depth[cur] + 1);
-            if (--indeg[nxt] == 0)
-                ready.push_back(nxt);
+    depth_.assign(parts, 0);
+    fifo_.clear();
+    size_t head = 0;
+    for (int pIdx = 0; pIdx < parts; ++pIdx)
+        if (indeg_[pIdx] == 0)
+            fifo_.push_back(pIdx);
+    while (head < fifo_.size()) {
+        int cur = fifo_[head++];
+        for (int k = edgeStart_[cur]; k < edgeStart_[cur + 1]; ++k) {
+            int nxt = edgeDst_[k];
+            depth_[nxt] = std::max(depth_[nxt], depth_[cur] + 1);
+            if (--indeg_[nxt] == 0)
+                fifo_.push_back(nxt);
         }
     }
-    if (seen != parts)
-        ok = false; // Cycle across partitions.
+    if (static_cast<int>(fifo_.size()) != parts)
+        return fail(); // Cycle across partitions.
 
     double retime = 0.0;
-    if (ok) {
-        for (const auto &[s, d] : prob.edges) {
-            int gap = depth[assign[d]] - depth[assign[s]];
-            if (assign[s] != assign[d] && gap > 1)
-                retime += gap - 1;
-        }
+    for (const auto &[s, d] : prob.edges) {
+        int gap = depth_[assign[d]] - depth_[assign[s]];
+        if (assign[s] != assign[d] && gap > 1)
+            retime += gap - 1;
     }
     if (feasible)
-        *feasible = ok;
-    return ok ? parts + prob.alpha * retime : 1e18;
+        *feasible = true;
+    return parts + prob.alpha * retime;
 }
 
 namespace {
@@ -549,11 +592,10 @@ partitionCompute(dfg::Vudfg &graph, const CompilerOptions &options)
             ao.iterations = options.solverIterations;
             ao.seed = options.solverSeed;
             ao.lowerBound = (totalOps + prob.maxOps - 1) / prob.maxOps;
+            PartitionEvaluator cost(prob);
             auto res = solver::anneal(
                 prob.n, warm.assign,
-                [&](const std::vector<int> &a, bool *f) {
-                    return partitionCost(prob, a, f);
-                },
+                [&](const std::vector<int> &a, bool *f) { return cost(a, f); },
                 ao);
             sol.assign = res.feasible ? res.assign : warm.assign;
             sol.numPartitions = 0;

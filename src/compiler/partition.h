@@ -14,6 +14,7 @@
  * (Fig. 11), independent of graph rewriting.
  */
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -50,6 +51,30 @@ struct PartitionSolution
  *  +inf-ish when constraints are violated. */
 double partitionCost(const PartitionProblem &prob,
                      const std::vector<int> &assign, bool *feasible);
+
+/**
+ * partitionCost for one problem, evaluated again and again without
+ * allocating: the evaluator owns the problem's node adjacency and the
+ * per-partition scratch, which every call reuses (the solver calls it
+ * once per annealing move). Returns exactly what partitionCost does.
+ */
+class PartitionEvaluator
+{
+  public:
+    explicit PartitionEvaluator(const PartitionProblem &prob);
+
+    double operator()(const std::vector<int> &assign, bool *feasible);
+
+  private:
+    const PartitionProblem &prob_;
+    std::vector<int> succStart_, succ_; ///< Node successors (CSR).
+    // Per-partition scratch.
+    std::vector<int> ops_, aux_, inArity_, outArity_;
+    std::vector<uint64_t> mark_; ///< Last source node stamp seen.
+    uint64_t stamp_ = 0;
+    std::vector<int> edgeStart_, edgeDst_, cursor_; ///< Partition CSR.
+    std::vector<int> indeg_, depth_, fifo_;
+};
 
 /** Traversal-based algorithm: topological chunking in BFS/DFS order,
  *  forward or backward (paper §III-B1c). */

@@ -22,6 +22,13 @@ struct Cell
     int group = -1; ///< Occupying group (-1 free).
 };
 
+/** A weighted connection between two groups (a < b). */
+struct Net
+{
+    int a = 0, b = 0;
+    double w = 0.0;
+};
+
 struct Placer
 {
     const CompilerOptions &opt;
@@ -31,8 +38,10 @@ struct Placer
     std::vector<Cell> cells;
     std::vector<int> cellOf;          ///< group -> cell index.
     std::vector<PuType> groupType;
-    /** Inter-group nets: (groupA, groupB) -> weight. */
-    std::map<std::pair<int, int>, double> nets;
+    /** Inter-group nets in (a, b) order. */
+    std::vector<Net> nets;
+    /** Per group, the nets that touch it, in `nets` order. */
+    std::vector<std::vector<Net>> incident;
 
     int
     manhattan(int ca, int cb) const
@@ -42,23 +51,29 @@ struct Placer
     }
 
     double
+    netCost(const Net &net) const
+    {
+        return net.w * manhattan(cellOf[net.a], cellOf[net.b]);
+    }
+
+    double
     totalCost() const
     {
         double cost = 0.0;
-        for (const auto &[key, w] : nets)
-            cost += w * manhattan(cellOf[key.first], cellOf[key.second]);
+        for (const Net &net : nets)
+            cost += netCost(net);
         return cost;
     }
 
+    /** Wirelength of the nets touching `group`, in O(degree). The sum
+     *  runs in `nets` order, so it matches a filtered scan of all nets
+     *  bit for bit (weights are multiples of 0.5, distances integers). */
     double
     groupCost(int group) const
     {
         double cost = 0.0;
-        for (const auto &[key, w] : nets) {
-            if (key.first != group && key.second != group)
-                continue;
-            cost += w * manhattan(cellOf[key.first], cellOf[key.second]);
-        }
+        for (const Net &net : incident[group])
+            cost += netCost(net);
         return cost;
     }
 };
@@ -89,7 +104,7 @@ placeAndRoute(dfg::Vudfg &graph, const CompilerOptions &options)
         }
     }
 
-    Placer placer{options, graph, 0, 0, {}, {}, {}, {}};
+    Placer placer{options, graph, 0, 0, {}, {}, {}, {}, {}};
     placer.groupType.assign(numGroups, PuType::Pcu);
     int pcuNeed = 0, pmuNeed = 0, agNeed = 0;
     {
@@ -147,15 +162,24 @@ placeAndRoute(dfg::Vudfg &graph, const CompilerOptions &options)
     }
 
     // --- Nets between groups. ---
-    for (const auto &s : graph.streams()) {
-        int a = graph.unit(s.src).mergedInto;
-        int b = graph.unit(s.dst).mergedInto;
-        if (a == b)
-            continue;
-        double w = s.kind == StreamKind::Token ? 0.5
-                   : (s.vec > 1 ? 2.0 : 1.0);
-        auto key = std::minmax(a, b);
-        placer.nets[{key.first, key.second}] += w;
+    {
+        std::map<std::pair<int, int>, double> weights;
+        for (const auto &s : graph.streams()) {
+            int a = graph.unit(s.src).mergedInto;
+            int b = graph.unit(s.dst).mergedInto;
+            if (a == b)
+                continue;
+            double w = s.kind == StreamKind::Token ? 0.5
+                       : (s.vec > 1 ? 2.0 : 1.0);
+            weights[std::minmax(a, b)] += w;
+        }
+        placer.incident.resize(numGroups);
+        for (const auto &[key, w] : weights) {
+            Net net{key.first, key.second, w};
+            placer.nets.push_back(net);
+            placer.incident[net.a].push_back(net);
+            placer.incident[net.b].push_back(net);
+        }
     }
 
     // --- Initial placement: group order, round-robin into free cells

@@ -10,11 +10,12 @@ namespace sara::solver {
 
 namespace {
 
-/** Renumber partitions to 0..k-1 preserving first-appearance order. */
+/** Renumber partitions to 0..k-1 preserving first-appearance order;
+ *  `remap` is caller-owned scratch. */
 void
-compact(std::vector<int> &assign)
+compact(std::vector<int> &assign, std::vector<int> &remap)
 {
-    std::vector<int> remap(assign.size(), -1);
+    remap.assign(assign.size(), -1);
     int next = 0;
     for (int &a : assign) {
         if (remap[a] < 0)
@@ -43,7 +44,8 @@ anneal(int n, const std::vector<int> &warm, const CostFn &cost,
     Rng rng(options.seed);
 
     std::vector<int> cur = warm;
-    compact(cur);
+    std::vector<int> cand, remap; // Reused by every move.
+    compact(cur, remap);
     bool curFeasible = false;
     double curCost = cost(cur, &curFeasible);
 
@@ -63,7 +65,7 @@ anneal(int n, const std::vector<int> &warm, const CostFn &cost,
                  1.0 / std::max<uint64_t>(1, options.iterations));
 
     for (uint64_t it = 0; it < options.iterations; ++it) {
-        std::vector<int> cand = cur;
+        cand = cur;
         int parts = numParts(cand);
         int move = static_cast<int>(rng.intIn(0, 2));
         if (move == 0) {
@@ -87,14 +89,14 @@ anneal(int n, const std::vector<int> &warm, const CostFn &cost,
                 if (a == pa)
                     a = pb;
         }
-        compact(cand);
+        compact(cand, remap);
 
         bool feasible = false;
         double c = cost(cand, &feasible);
         double delta = c - curCost;
         if (delta <= 0 ||
             rng.realIn(0.0, 1.0) < std::exp(-delta / std::max(temp, 1e-9))) {
-            cur = std::move(cand);
+            std::swap(cur, cand);
             curCost = c;
             curFeasible = feasible;
             if (feasible &&

@@ -122,25 +122,57 @@ Digraph::reachable(size_t src, size_t dst, bool skip_direct) const
     return false;
 }
 
-void
+Reachability
 Digraph::transitiveReduction()
 {
     auto order = topoSort();
     if (!order)
         panic("transitiveReduction requires a DAG");
 
-    // For each node u (in reverse topological order) compute the set of
-    // nodes reachable through paths of length >= 2 and drop direct edges
-    // to them.
-    for (size_t u = 0; u < size(); ++u) {
-        // Candidate edges sorted for determinism.
-        std::vector<size_t> outs = succs_[u];
-        std::sort(outs.begin(), outs.end());
+    const size_t n = size();
+    std::vector<size_t> pos(n);
+    for (size_t i = 0; i < n; ++i)
+        pos[(*order)[i]] = i;
+    Reachability reach;
+    reach.words_ = (n + 63) / 64;
+    reach.bits_.assign(n * reach.words_, 0);
+
+    // Walk the nodes in reverse topological order, so every successor's
+    // closure row is complete before a predecessor reads it. Visit u's
+    // distinct successors nearest first (ascending topological
+    // position): a successor that an earlier one already reaches has a
+    // path of length >= 2, so its direct edge is redundant; any path
+    // u -> w -> ... -> v has w before v, so none is missed.
+    std::vector<size_t> outs;
+    std::vector<size_t> droppedBy(n, SIZE_MAX); // v -> u dropping (u, v).
+    for (auto it = order->rbegin(); it != order->rend(); ++it) {
+        const size_t u = *it;
+        uint64_t *row = &reach.bits_[u * reach.words_];
+        outs = succs_[u];
+        std::sort(outs.begin(), outs.end(),
+                  [&](size_t a, size_t b) { return pos[a] < pos[b]; });
+        outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
+        bool dropped = false;
         for (size_t v : outs) {
-            if (reachable(u, v, /*skip_direct=*/true))
-                removeEdge(u, v);
+            if ((row[v / 64] >> (v % 64)) & 1) {
+                droppedBy[v] = u;
+                dropped = true;
+                continue;
+            }
+            row[v / 64] |= uint64_t{1} << (v % 64);
+            const uint64_t *vrow = &reach.bits_[v * reach.words_];
+            for (size_t w = 0; w < reach.words_; ++w)
+                row[w] |= vrow[w];
         }
+        if (!dropped)
+            continue;
+        std::erase_if(succs_[u],
+                      [&](size_t v) { return droppedBy[v] == u; });
+        for (size_t v : outs)
+            if (droppedBy[v] == u)
+                std::erase(preds_[v], u);
     }
+    return reach;
 }
 
 std::vector<size_t>

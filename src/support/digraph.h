@@ -20,6 +20,25 @@
 
 namespace sara {
 
+/**
+ * Reachability closure of a DAG, one bitset row per node:
+ * reaches(src, dst) is true iff a path of >= 1 edge leads src -> dst.
+ */
+class Reachability
+{
+  public:
+    bool
+    reaches(size_t src, size_t dst) const
+    {
+        return (bits_[src * words_ + dst / 64] >> (dst % 64)) & 1;
+    }
+
+  private:
+    friend class Digraph;
+    size_t words_ = 0;
+    std::vector<uint64_t> bits_;
+};
+
 /** Dense-id directed graph with forward and reverse adjacency. */
 class Digraph
 {
@@ -74,12 +93,14 @@ class Digraph
     bool reachable(size_t src, size_t dst, bool skip_direct = false) const;
 
     /**
-     * Transitive reduction for a DAG: removes every edge (u, v) for
-     * which an alternative path u -> ... -> v of length >= 2 exists.
-     * Preserves connectivity (and hence any ordering the graph encodes).
+     * Transitive reduction for a DAG: removes every edge (u, v) (all
+     * copies of it) for which an alternative path u -> ... -> v of
+     * length >= 2 exists. Kept edges stay in adjacency order. Preserves
+     * reachability (and hence any ordering the graph encodes), and
+     * returns it: the closure costs O(E * n / 64) and is a by-product.
      * Panics if the graph is cyclic.
      */
-    void transitiveReduction();
+    Reachability transitiveReduction();
 
     /** Strongly connected components; returns component id per node. */
     std::vector<size_t> scc() const;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "ir/interp.h"
 #include "ir/program.h"
 #include "sim/simulator.h"
+#include "support/digraph.h"
 
 namespace sara::test {
 
@@ -85,6 +87,24 @@ tinyOptions()
     opt.spec = arch::PlasticineSpec::tiny();
     opt.pnrIterations = 2000;
     return opt;
+}
+
+/**
+ * The per-edge transitive reduction that Digraph's bitset closure
+ * replaced, kept as an oracle: nodes by id, successors sorted, and
+ * (u, v) goes whenever v stays reachable from u without the direct
+ * edge.
+ */
+inline void
+referenceTransitiveReduction(Digraph &g)
+{
+    for (size_t u = 0; u < g.size(); ++u) {
+        std::vector<size_t> outs = g.succs(u);
+        std::sort(outs.begin(), outs.end());
+        for (size_t v : outs)
+            if (g.reachable(u, v, /*skip_direct=*/true))
+                g.removeEdge(u, v);
+    }
 }
 
 } // namespace sara::test

@@ -1,9 +1,10 @@
 /**
  * @file
  * End-to-end CLI tests: drives the real sarac binary (path injected by
- * CMake as SARAC_PATH) and checks the exit-code contract — 0 success,
- * 2 usage, 3 invalid input / exhausted cycle budget, 4 internal — plus
- * the artifact emit/load flags and cache-cold vs cache-warm --batch.
+ * CMake as SARAC_PATH; sarad's as SARAD_PATH) and checks the exit-code
+ * contract — 0 success (and --help), 2 usage, 3 invalid input /
+ * exhausted cycle budget, 4 internal — plus the artifact emit/load
+ * flags and cache-cold vs cache-warm --batch.
  */
 
 #include <gtest/gtest.h>
@@ -24,10 +25,13 @@ struct CmdResult
     std::string output; ///< stdout + stderr, interleaved.
 };
 
+/** Run `binary args`; `redirect` picks what the pipe captures
+ *  (default: stdout and stderr interleaved). */
 CmdResult
-runSarac(const std::string &args)
+runTool(const std::string &binary, const std::string &args,
+        const std::string &redirect = "2>&1")
 {
-    std::string cmd = std::string(SARAC_PATH) + " " + args + " 2>&1";
+    std::string cmd = binary + " " + args + " " + redirect;
     std::FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr) << cmd;
     CmdResult r;
@@ -38,6 +42,12 @@ runSarac(const std::string &args)
     int status = pclose(pipe);
     r.exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     return r;
+}
+
+CmdResult
+runSarac(const std::string &args)
+{
+    return runTool(SARAC_PATH, args);
 }
 
 struct TempDir
@@ -91,6 +101,22 @@ TEST(Cli, UsageErrorsExitTwo)
     EXPECT_EQ(runSarac("--frobnicate").exitCode, 2);
     EXPECT_EQ(runSarac("").exitCode, 2);        // No workload.
     EXPECT_EQ(runSarac("mlp lstm").exitCode, 2); // Two without --batch.
+}
+
+TEST(Cli, HelpPrintsUsageOnStdoutAndExitsZero)
+{
+    for (const char *binary : {SARAC_PATH, SARAD_PATH}) {
+        for (const char *flag : {"--help", "-h"}) {
+            auto r = runTool(binary, flag, "2>/dev/null");
+            EXPECT_EQ(r.exitCode, 0) << binary << " " << flag;
+            EXPECT_EQ(r.output.rfind("usage: ", 0), 0u)
+                << binary << " " << flag << ": " << r.output;
+        }
+        // A usage error still prints to stderr and exits 2.
+        auto bad = runTool(binary, "--frobnicate", "2>/dev/null");
+        EXPECT_EQ(bad.exitCode, 2) << binary;
+        EXPECT_EQ(bad.output, "") << binary;
+    }
 }
 
 TEST(Cli, UnknownWorkloadExitsNonzero)

@@ -11,6 +11,9 @@
 #include "compiler/analysis.h"
 #include "compiler/cmmc.h"
 #include "ir/builder.h"
+#include "support/digraph.h"
+#include "support/rng.h"
+#include "tests/helpers.h"
 
 namespace sara {
 namespace {
@@ -18,9 +21,11 @@ namespace {
 using namespace ir;
 using compiler::buildDepGraph;
 using compiler::collectAccessors;
+using compiler::DepEdge;
 using compiler::DepGraph;
 using compiler::DepGraphOptions;
 using compiler::reduceDepGraph;
+using compiler::ReduceStats;
 
 /** W; R; R on one tensor inside a loop (Fig. 5c-like). */
 TEST(DepGraph, WriteThenTwoReads)
@@ -211,6 +216,149 @@ TEST(DepGraph, FullSerializeMode)
     dgo.fullSerialize = true;
     DepGraph g = buildDepGraph(p, access[m.index()], dgo);
     EXPECT_TRUE(g.hasEdge(0, 1, false));
+}
+
+/** The reduction that the closure-based reduceDepGraph replaced, kept
+ *  as an oracle: per-edge transitive reduction, quadratic dedup, and a
+ *  DFS over the whole edge list per forward-reach query. */
+ReduceStats
+referenceReduce(DepGraph &g)
+{
+    ReduceStats stats;
+    Digraph fwd(g.n);
+    for (const auto &e : g.edges)
+        if (!e.backward)
+            fwd.addEdge(e.src, e.dst);
+    size_t before = fwd.numEdges();
+    test::referenceTransitiveReduction(fwd);
+    stats.forwardRemoved = static_cast<int>(before - fwd.numEdges());
+    std::vector<DepEdge> kept;
+    for (const auto &e : g.edges)
+        if (e.backward || fwd.hasEdge(e.src, e.dst))
+            kept.push_back(e);
+    std::vector<DepEdge> dedup;
+    for (const auto &e : kept) {
+        bool dup = false;
+        for (const auto &k : dedup)
+            if (k.src == e.src && k.dst == e.dst &&
+                k.backward == e.backward && k.loop == e.loop)
+                dup = true;
+        if (!dup)
+            dedup.push_back(e);
+    }
+    stats.forwardRemoved +=
+        static_cast<int>(kept.size() - dedup.size());
+    g.edges = std::move(dedup);
+
+    auto forwardReach = [&](size_t from, size_t to) {
+        if (from == to)
+            return true;
+        std::vector<bool> seen(g.n, false);
+        std::vector<size_t> stack{from};
+        seen[from] = true;
+        while (!stack.empty()) {
+            size_t cur = stack.back();
+            stack.pop_back();
+            if (cur == to)
+                return true;
+            for (const auto &e : g.edges) {
+                if (e.backward || e.src != cur)
+                    continue;
+                if (!seen[e.dst]) {
+                    seen[e.dst] = true;
+                    stack.push_back(e.dst);
+                }
+            }
+        }
+        return false;
+    };
+    for (size_t i = 0; i < g.edges.size(); ++i) {
+        DepEdge &e = g.edges[i];
+        if (!e.backward || e.pruned)
+            continue;
+        for (size_t j = 0; j < g.edges.size(); ++j) {
+            if (j == i)
+                continue;
+            const DepEdge &alt = g.edges[j];
+            if (!alt.backward || alt.pruned || alt.loop != e.loop ||
+                alt.credit != e.credit)
+                continue;
+            if (forwardReach(e.src, alt.src) &&
+                forwardReach(alt.dst, e.dst)) {
+                e.pruned = true;
+                ++stats.backwardRemoved;
+                break;
+            }
+        }
+    }
+    std::vector<DepEdge> remaining;
+    for (const auto &e : g.edges)
+        if (!e.pruned)
+            remaining.push_back(e);
+    g.edges = std::move(remaining);
+    return stats;
+}
+
+TEST(ReduceDepGraph, MatchesReferenceOnRandomGraphs)
+{
+    Rng rng(5);
+    int forwardRemoved = 0, backwardRemoved = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        // Accessors in program order, forward edges earlier -> later,
+        // backward edges later -> earlier on one of three loops with
+        // credit 1 or 2. Some edges repeat, the repeat sometimes on
+        // another loop or with another credit.
+        DepGraph g;
+        g.n = 1 + rng.index(trial < 250 ? 16 : 80);
+        double density = g.n > 20 ? 6.0 / g.n : 0.4;
+        auto randomLoop = [&] {
+            return CtrlId(static_cast<int32_t>(rng.intIn(0, 2)));
+        };
+        auto addWithRepeats = [&](DepEdge e, double repeat) {
+            g.edges.push_back(e);
+            while (rng.chance(repeat)) {
+                if (rng.chance(0.5))
+                    e.loop = randomLoop();
+                if (e.backward && rng.chance(0.5))
+                    e.credit = static_cast<int>(rng.intIn(1, 2));
+                g.edges.push_back(e);
+            }
+        };
+        for (size_t j = 0; j < g.n; ++j) {
+            for (size_t i = 0; i < j; ++i) {
+                if (rng.chance(density)) {
+                    DepEdge e{i, j, false, CtrlId{}, 1};
+                    if (rng.chance(0.1))
+                        e.loop = randomLoop();
+                    addWithRepeats(e, 0.2);
+                }
+                if (rng.chance(density / 2))
+                    addWithRepeats({j, i, true, randomLoop(),
+                                    static_cast<int>(rng.intIn(1, 2))},
+                                   0.15);
+            }
+        }
+        DepGraph want = g;
+        ReduceStats wantStats = referenceReduce(want);
+        ReduceStats stats = reduceDepGraph(g);
+        EXPECT_EQ(stats.forwardRemoved, wantStats.forwardRemoved)
+            << "trial " << trial;
+        EXPECT_EQ(stats.backwardRemoved, wantStats.backwardRemoved)
+            << "trial " << trial;
+        ASSERT_EQ(g.edges.size(), want.edges.size()) << "trial " << trial;
+        for (size_t k = 0; k < g.edges.size(); ++k) {
+            const DepEdge &a = g.edges[k], &b = want.edges[k];
+            EXPECT_TRUE(a.src == b.src && a.dst == b.dst &&
+                        a.backward == b.backward && a.loop == b.loop &&
+                        a.credit == b.credit && a.pruned == b.pruned)
+                << "trial " << trial << " edge " << k;
+        }
+        forwardRemoved += wantStats.forwardRemoved;
+        backwardRemoved += wantStats.backwardRemoved;
+    }
+    // The random graphs exercise both passes.
+    EXPECT_GT(forwardRemoved, 0);
+    EXPECT_GT(backwardRemoved, 0);
 }
 
 /** levelAt implements the "done of the immediate child ancestor"

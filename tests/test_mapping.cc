@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <deque>
+#include <set>
+
 #include "compiler/merging.h"
 #include "compiler/partition.h"
 #include "compiler/pnr.h"
 #include "ir/builder.h"
 #include "solver/mip.h"
+#include "support/digraph.h"
 #include "support/rng.h"
 #include "tests/helpers.h"
 
@@ -80,6 +85,157 @@ TEST(Partition, DiamondRetimingCost)
     EXPECT_TRUE(ok);
     // 6 partitions + alpha * (gap of edge 0->5 = depth 5 - 1 = 4).
     EXPECT_NEAR(cost, 6 + prob.alpha * 4, 1e-9);
+}
+
+/** The std::set version of partitionCost that PartitionEvaluator
+ *  replaced, kept as an oracle. */
+double
+referenceCost(const PartitionProblem &prob, const std::vector<int> &assign,
+              bool *feasible)
+{
+    bool ok = true;
+    int parts = 0;
+    for (int a : assign)
+        parts = std::max(parts, a + 1);
+    std::vector<int> ops(parts, 0), aux(parts, 0);
+    std::vector<std::set<int>> inSrcs(parts);
+    std::vector<std::set<int>> outNodes(parts);
+    for (int i = 0; i < prob.n; ++i) {
+        ops[assign[i]] += prob.opCost[i];
+        if (prob.maxAux > 0)
+            aux[assign[i]] += prob.auxCost[i];
+    }
+    for (const auto &[s, d] : prob.edges) {
+        if (assign[s] == assign[d])
+            continue;
+        inSrcs[assign[d]].insert(s);
+        outNodes[assign[s]].insert(s);
+    }
+    for (int pIdx = 0; pIdx < parts; ++pIdx) {
+        if (ops[pIdx] > prob.maxOps ||
+            static_cast<int>(inSrcs[pIdx].size()) > prob.maxIn ||
+            static_cast<int>(outNodes[pIdx].size()) > prob.maxOut)
+            ok = false;
+        if (prob.maxAux > 0 && aux[pIdx] > prob.maxAux)
+            ok = false;
+    }
+    std::vector<std::set<int>> succ(parts);
+    std::vector<int> indeg(parts, 0);
+    for (const auto &[s, d] : prob.edges) {
+        int a = assign[s], b = assign[d];
+        if (a != b && succ[a].insert(b).second)
+            ++indeg[b];
+    }
+    std::deque<int> ready;
+    for (int i = 0; i < parts; ++i)
+        if (indeg[i] == 0)
+            ready.push_back(i);
+    std::vector<int> depth(parts, 0);
+    int seen = 0;
+    while (!ready.empty()) {
+        int cur = ready.front();
+        ready.pop_front();
+        ++seen;
+        for (int nxt : succ[cur]) {
+            depth[nxt] = std::max(depth[nxt], depth[cur] + 1);
+            if (--indeg[nxt] == 0)
+                ready.push_back(nxt);
+        }
+    }
+    if (seen != parts)
+        ok = false;
+    double retime = 0.0;
+    if (ok) {
+        for (const auto &[s, d] : prob.edges) {
+            int gap = depth[assign[d]] - depth[assign[s]];
+            if (assign[s] != assign[d] && gap > 1)
+                retime += gap - 1;
+        }
+    }
+    if (feasible)
+        *feasible = ok;
+    return ok ? parts + prob.alpha * retime : 1e18;
+}
+
+TEST(Partition, EvaluatorMatchesSetBasedCost)
+{
+    Rng rng(9);
+    int feasible = 0, infeasible = 0, cyclic = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        // Operand edges over a shuffled node order, appended in a
+        // random order with repeats (an op reading one value twice),
+        // the way partitionCompute builds them.
+        PartitionProblem prob;
+        prob.n = 1 + static_cast<int>(rng.index(40));
+        std::vector<int> perm(prob.n);
+        for (int i = 0; i < prob.n; ++i)
+            perm[i] = i;
+        for (int i = prob.n; i > 1; --i)
+            std::swap(perm[i - 1], perm[rng.index(i)]);
+        for (int j = 1; j < prob.n; ++j) {
+            int fanIn = static_cast<int>(rng.intIn(0, 3));
+            for (int k = 0; k < fanIn; ++k) {
+                std::pair<int, int> e{perm[rng.index(j)], perm[j]};
+                prob.edges.insert(
+                    prob.edges.begin() + rng.index(prob.edges.size() + 1),
+                    e);
+            }
+        }
+        prob.opCost.resize(prob.n);
+        for (int &c : prob.opCost)
+            c = static_cast<int>(rng.intIn(0, 1));
+        prob.maxOps = static_cast<int>(rng.intIn(2, 8));
+        prob.maxIn = static_cast<int>(rng.intIn(1, 4));
+        prob.maxOut = static_cast<int>(rng.intIn(1, 4));
+        prob.alpha = 1.0 / std::min(prob.maxIn, prob.maxOut);
+        if (rng.chance(0.5)) {
+            prob.auxCost.resize(prob.n);
+            for (int &c : prob.auxCost)
+                c = static_cast<int>(rng.intIn(0, 2));
+            prob.maxAux = static_cast<int>(rng.intIn(2, 6));
+        }
+
+        // One evaluator serves every assignment, as in the annealer:
+        // contiguous chunks (mostly feasible), random labels with gaps
+        // (often cyclic across partitions), and singletons.
+        PartitionEvaluator eval(prob);
+        for (int a = 0; a < 40; ++a) {
+            std::vector<int> assign(prob.n);
+            if (a % 3 == 0) {
+                int chunk = static_cast<int>(rng.intIn(1, 6));
+                for (int i = 0; i < prob.n; ++i)
+                    assign[perm[i]] = i / chunk;
+            } else if (a % 3 == 1) {
+                int parts = static_cast<int>(rng.intIn(1, prob.n + 2));
+                for (int &x : assign)
+                    x = static_cast<int>(rng.index(parts));
+            } else {
+                for (int i = 0; i < prob.n; ++i)
+                    assign[i] = i;
+            }
+            bool wantOk = false, gotOk = true, oneShotOk = true;
+            double want = referenceCost(prob, assign, &wantOk);
+            double got = eval(assign, &gotOk);
+            EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                << "trial " << trial << " assignment " << a << ": " << got
+                << " vs " << want;
+            EXPECT_EQ(gotOk, wantOk) << "trial " << trial << " " << a;
+            double oneShot = partitionCost(prob, assign, &oneShotOk);
+            EXPECT_EQ(std::memcmp(&oneShot, &want, sizeof oneShot), 0);
+            EXPECT_EQ(oneShotOk, wantOk);
+            (wantOk ? feasible : infeasible) += 1;
+
+            Digraph parts(*std::max_element(assign.begin(), assign.end()) +
+                          1);
+            for (const auto &[s, d] : prob.edges)
+                if (assign[s] != assign[d])
+                    parts.addEdge(assign[s], assign[d]);
+            cyclic += parts.hasCycle();
+        }
+    }
+    EXPECT_GT(feasible, 100);
+    EXPECT_GT(infeasible, 100);
+    EXPECT_GT(cyclic, 100); // Partition graphs with a cycle.
 }
 
 TEST(Partition, SolverNotWorseThanWarmStart)

@@ -13,6 +13,7 @@
 #include "support/logging.h"
 #include "support/rng.h"
 #include "support/table.h"
+#include "tests/helpers.h"
 
 namespace sara {
 namespace {
@@ -101,6 +102,53 @@ TEST(Digraph, TransitiveReductionPreservesReachability)
                                         << " node " << i;
         }
     }
+}
+
+TEST(Digraph, TransitiveReductionMatchesPerEdgeOracle)
+{
+    Rng rng(11);
+    size_t removed = 0;
+    for (size_t n : {1, 2, 3, 8, 30, 90, 180, 300}) {
+        for (int trial = 0; trial < 4; ++trial) {
+            // A random DAG over a shuffled topological order, with
+            // some duplicate edges.
+            std::vector<size_t> perm(n);
+            for (size_t i = 0; i < n; ++i)
+                perm[i] = i;
+            for (size_t i = n; i > 1; --i)
+                std::swap(perm[i - 1], perm[rng.index(i)]);
+            double density = n > 60 ? 12.0 / n : 0.3;
+            Digraph g(n);
+            for (size_t i = 0; i < n; ++i) {
+                for (size_t j = i + 1; j < n; ++j) {
+                    if (!rng.chance(density))
+                        continue;
+                    g.addEdge(perm[i], perm[j]);
+                    if (rng.chance(0.1))
+                        g.addEdge(perm[i], perm[j], /*dedup=*/false);
+                }
+            }
+            std::vector<std::vector<bool>> before;
+            for (size_t u = 0; u < n; ++u)
+                before.push_back(g.reachableFrom(u));
+
+            Digraph want = g;
+            test::referenceTransitiveReduction(want);
+            removed += g.numEdges() - want.numEdges();
+            Reachability reach = g.transitiveReduction();
+            for (size_t u = 0; u < n; ++u) {
+                EXPECT_EQ(g.succs(u), want.succs(u))
+                    << "n " << n << " trial " << trial << " node " << u;
+                EXPECT_EQ(g.preds(u), want.preds(u))
+                    << "n " << n << " trial " << trial << " node " << u;
+                for (size_t v = 0; v < n; ++v)
+                    ASSERT_EQ(reach.reaches(u, v),
+                              u != v && before[u][v])
+                        << "n " << n << " reach " << u << "->" << v;
+            }
+        }
+    }
+    EXPECT_GT(removed, 1000u); // The DAGs are dense enough to reduce.
 }
 
 TEST(Digraph, ReachableSkipDirect)

@@ -86,6 +86,7 @@
  *   -j N               batch worker threads (default: all cores)
  *   --metrics          dump telemetry counters (cache hits/misses,
  *                      job stats) before exiting
+ *   --help, -h         print the usage on stdout and exit 0
  *
  * Exit codes: 0 success; 1 verification/batch-job failure; 2 usage;
  * 3 invalid input or configuration; 4 internal error (e.g. simulator
@@ -115,10 +116,12 @@ using namespace sara;
 
 namespace {
 
+/** Print the usage: for --help on stdout with exit 0, after a usage
+ *  error on stderr with exit 2. */
 int
-usage()
+usage(bool help = false)
 {
-    std::fprintf(stderr,
+    std::fprintf(help ? stdout : stderr,
                  "usage: sarac <workload> [--par N] [--scale N] "
                  "[--dram hbm2|ddr3] [--chip paper|vanilla|tiny]\n"
                  "             [--control cmmc|fsm] [--partitioner ALG] "
@@ -135,9 +138,10 @@ usage()
                  "       sarac --batch [workload ...] [-j N] "
                  "[common options]\n"
                  "       sarac --list\n"
+                 "       sarac --help\n"
                  "note: in --batch mode --trace records the batch "
                  "timeline, not per-run simulator traces\n");
-    return 2;
+    return help ? 0 : 2;
 }
 
 struct CliOptions
@@ -537,7 +541,9 @@ realMain(int argc, char **argv)
                 fatal("missing value for ", arg);
             return argv[++i];
         };
-        if (arg == "--list") {
+        if (arg == "--help" || arg == "-h") {
+            return usage(/*help=*/true);
+        } else if (arg == "--list") {
             for (const auto &name : workloads::allWorkloadNames())
                 std::printf("%s\n", name.c_str());
             return 0;

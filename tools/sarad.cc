@@ -53,6 +53,7 @@
  *                           disk-enospc@0.1, sock-torn-write@0.05,
  *                           disk-short-write:count=2, compile-fault...
  *   --inject-seed N         seed for the fault plan (default 1)
+ *   --help, -h              print the usage on stdout and exit 0
  *
  * At startup with a disk cache, the cache directory is swept: stale
  * writer temp files are removed and corrupt or torn entries are
@@ -98,11 +99,13 @@ onSignal(int)
     gStop = 1;
 }
 
+/** Print the usage: for --help on stdout with exit 0, after a usage
+ *  error on stderr with exit 2. */
 int
-usage()
+usage(bool help = false)
 {
     std::fprintf(
-        stderr,
+        help ? stdout : stderr,
         "usage: sarad [--socket PATH] [--workers N] [--queue-depth N]\n"
         "             [--cache | --cache-dir DIR] [--mem-entries N]\n"
         "             [--tenant-weight TENANT=W ...] [--retries N]\n"
@@ -112,8 +115,9 @@ usage()
         "             [--request-deadline-ms MS]\n"
         "             [--breaker-threshold N] "
         "[--breaker-cooldown-ms MS]\n"
-        "             [--inject SPEC ...] [--inject-seed N]\n");
-    return 2;
+        "             [--inject SPEC ...] [--inject-seed N]\n"
+        "       sarad --help\n");
+    return help ? 0 : 2;
 }
 
 int
@@ -130,7 +134,9 @@ realMain(int argc, char **argv)
                 fatal("missing value for ", arg);
             return argv[++i];
         };
-        if (arg == "--socket") {
+        if (arg == "--help" || arg == "-h") {
+            return usage(/*help=*/true);
+        } else if (arg == "--socket") {
             opt.socketPath = next();
         } else if (arg == "--workers") {
             opt.workers = std::stoi(next());
