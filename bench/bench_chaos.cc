@@ -56,6 +56,7 @@
 
 #include "artifact/artifact.h"
 #include "artifact/cache.h"
+#include "bench/bench_common.h"
 #include "compiler/driver.h"
 #include "fault/fault.h"
 #include "serve/client.h"
@@ -696,26 +697,22 @@ int
 main(int argc, char **argv)
 {
     ChaosOptions opt;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for ", arg);
-            return argv[++i];
-        };
-        if (arg == "--seeds")
-            opt.seeds = std::stoi(next());
-        else if (arg == "--quick")
+    bench::BenchArgs args(argc, argv,
+                          "[--seeds N] [--quick] [--out FILE.json]");
+    while (args.next()) {
+        if (args.is("--seeds"))
+            opt.seeds = args.number();
+        else if (args.is("--quick"))
             opt.quick = true;
-        else if (arg == "--out")
-            opt.out = next();
+        else if (args.is("--out"))
+            opt.out = args.value();
         else
-            fatal("unknown bench option ", arg);
+            args.unknown();
     }
     if (opt.quick)
         opt.seeds = std::min(opt.seeds, 3);
     if (opt.seeds < 1)
-        fatal("--seeds must be >= 1");
+        args.fail("--seeds must be >= 1");
 
     std::signal(SIGPIPE, SIG_IGN);
     telemetry::Registry::global().setEnabled(true);

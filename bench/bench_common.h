@@ -8,8 +8,10 @@
  * prints the same rows/series the paper reports.
  */
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <iterator>
 #include <memory>
@@ -28,6 +30,98 @@
 namespace sara::bench {
 
 /**
+ * The bench binaries' command-line contract: `--help` or `-h` prints
+ * the usage on stdout and exits 0; an unknown flag, a missing value or
+ * a bad number prints the reason and the usage on stderr and exits 2.
+ * A parser walks the flags and pulls values through this:
+ *
+ *   BenchArgs args(argc, argv, "[--reps N]");
+ *   while (args.next()) {
+ *       if (args.is("--reps"))
+ *           reps = args.number();
+ *       else
+ *           args.unknown();
+ *   }
+ */
+class BenchArgs
+{
+  public:
+    /** `flags` is the usage text after the program name. */
+    BenchArgs(int argc, char **argv, std::string flags)
+        : argc_(argc), argv_(argv),
+          usage_(std::string("usage: ") + argv[0] + " " + flags)
+    {
+    }
+
+    /** Advance to the next flag; false once all are consumed. */
+    bool
+    next()
+    {
+        if (++i_ >= argc_)
+            return false;
+        flag_ = argv_[i_];
+        if (flag_ == "--help" || flag_ == "-h") {
+            std::printf("%s\n", usage_.c_str());
+            std::exit(0);
+        }
+        return true;
+    }
+
+    bool is(const char *name) const { return flag_ == name; }
+
+    /** The current flag's value argument. */
+    std::string
+    value()
+    {
+        if (i_ + 1 >= argc_)
+            fail("missing value for " + flag_);
+        return argv_[++i_];
+    }
+
+    /** The current flag's value as an integer. */
+    int number() { return toInt(value()); }
+
+    /** One integer of the current flag's value (e.g. a list item). */
+    int
+    toInt(const std::string &text) const
+    {
+        int v = 0;
+        const char *end = text.data() + text.size();
+        auto [ptr, ec] = std::from_chars(text.data(), end, v);
+        if (ec != std::errc() || ptr != end)
+            fail("bad number '" + text + "' for " + flag_);
+        return v;
+    }
+
+    [[noreturn]] void unknown() const { fail("unknown option " + flag_); }
+
+    /** Usage error: the reason and the usage on stderr, exit 2. */
+    [[noreturn]] void
+    fail(const std::string &why) const
+    {
+        std::fprintf(stderr, "%s: %s\n%s\n", argv_[0], why.c_str(),
+                     usage_.c_str());
+        std::exit(2);
+    }
+
+  private:
+    int argc_;
+    char **argv_;
+    std::string usage_;
+    int i_ = 0;
+    std::string flag_;
+};
+
+/** For the binaries that take no flags: only `--help` is accepted. */
+inline void
+parseNoFlags(int argc, char **argv)
+{
+    BenchArgs args(argc, argv, "(no options)");
+    while (args.next())
+        args.unknown();
+}
+
+/**
  * Execution context shared by the figure binaries: every bench sweep
  * accepts `-j N` (parallel sweep points via the job scheduler; default
  * all cores, `-j 1` restores the old serial behavior) and
@@ -44,41 +138,55 @@ struct BenchContext
     std::unique_ptr<artifact::ArtifactCache> cache;
     std::unique_ptr<artifact::CachingCompiler> compiler;
 
+    /** Usage text of the flags take() accepts. */
+    static constexpr const char *kFlags =
+        "[-j N] [--cache] [--cache-dir DIR]";
+
+    /** Parse a command line of context flags only, then open(). */
     static BenchContext
     parse(int argc, char **argv)
     {
+        BenchArgs args(argc, argv, kFlags);
         BenchContext ctx;
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
-            auto next = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    fatal("missing value for ", arg);
-                return argv[++i];
-            };
-            if (arg == "-j")
-                ctx.threads = std::stoi(next());
-            else if (arg == "--cache")
-                ctx.useCache = true;
-            else if (arg == "--cache-dir") {
-                ctx.useCache = true;
-                ctx.cacheDir = next();
-            } else
-                fatal("unknown bench option ", arg,
-                      " (supported: -j N, --cache, --cache-dir DIR)");
+        while (args.next())
+            if (!ctx.take(args))
+                args.unknown();
+        ctx.open();
+        return ctx;
+    }
+
+    /** Consume the current flag if it is a context flag. */
+    bool
+    take(BenchArgs &args)
+    {
+        if (args.is("-j")) {
+            threads = args.number();
+        } else if (args.is("--cache")) {
+            useCache = true;
+        } else if (args.is("--cache-dir")) {
+            useCache = true;
+            cacheDir = args.value();
+        } else {
+            return false;
         }
-        if (ctx.useCache) {
+        return true;
+    }
+
+    /** Set up the cache and compiler once the flags are parsed. */
+    void
+    open()
+    {
+        if (useCache) {
             telemetry::Registry::global().setEnabled(true);
-            ctx.cache =
-                std::make_unique<artifact::ArtifactCache>(ctx.cacheDir);
+            cache = std::make_unique<artifact::ArtifactCache>(cacheDir);
             std::printf("[bench] artifact cache at %s\n",
-                        ctx.cache->dir().c_str());
+                        cache->dir().c_str());
         }
         // Always compile through the caching front-end: with no cache
         // directory it still deduplicates identical in-flight sweep
         // points (fig9's repeated base configs).
-        ctx.compiler = std::make_unique<artifact::CachingCompiler>(
-            ctx.cache.get());
-        return ctx;
+        compiler = std::make_unique<artifact::CachingCompiler>(
+            cache.get());
     }
 
     /** Apply this context to a run configuration. */

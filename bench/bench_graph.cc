@@ -160,15 +160,16 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    std::vector<char *> rest = {argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--quick")
+    BenchArgs args(argc, argv,
+                   std::string("[--quick] ") + BenchContext::kFlags);
+    BenchContext ctx;
+    while (args.next()) {
+        if (args.is("--quick"))
             quick = true;
-        else
-            rest.push_back(argv[i]);
+        else if (!ctx.take(args))
+            args.unknown();
     }
-    BenchContext ctx =
-        BenchContext::parse(static_cast<int>(rest.size()), rest.data());
+    ctx.open();
 
     std::vector<graph::LayerGraph> models;
     models.push_back(graph::mlpGraph());

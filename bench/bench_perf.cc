@@ -83,37 +83,33 @@ PerfOptions
 parseArgs(int argc, char **argv)
 {
     PerfOptions opt;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for ", arg);
-            return argv[++i];
-        };
-        if (arg == "--reps")
-            opt.reps = std::stoi(next());
-        else if (arg == "-j")
-            opt.jobs = std::stoi(next());
-        else if (arg == "--out")
-            opt.out = next();
-        else if (arg == "--workloads")
-            opt.workloads = splitList(next());
-        else if (arg == "--scale-threads") {
+    BenchArgs args(argc, argv,
+                   "[--reps N] [--workloads a,b,c] [--out FILE.json] "
+                   "[-j N] [--scale-threads 1,2,4]");
+    while (args.next()) {
+        if (args.is("--reps")) {
+            opt.reps = args.number();
+        } else if (args.is("-j")) {
+            opt.jobs = args.number();
+        } else if (args.is("--out")) {
+            opt.out = args.value();
+        } else if (args.is("--workloads")) {
+            opt.workloads = splitList(args.value());
+        } else if (args.is("--scale-threads")) {
             opt.scaleThreads.clear();
-            for (const std::string &t : splitList(next()))
-                opt.scaleThreads.push_back(std::stoi(t));
-        } else
-            fatal("unknown option ", arg,
-                  " (supported: --reps N, --workloads a,b,c, --out F, "
-                  "-j N, --scale-threads 1,2,4)");
+            for (const std::string &t : splitList(args.value()))
+                opt.scaleThreads.push_back(args.toInt(t));
+        } else {
+            args.unknown();
+        }
     }
     if (opt.reps < 1)
-        fatal("--reps must be >= 1");
+        args.fail("--reps must be >= 1");
     if (opt.jobs < 0)
-        fatal("-j must be >= 0");
+        args.fail("-j must be >= 0");
     if (opt.scaleThreads.empty() || opt.scaleThreads.front() != 1)
-        fatal("--scale-threads must start with 1 (the sequential "
-              "baseline every other point is checked against)");
+        args.fail("--scale-threads must start with 1 (the sequential "
+                  "baseline every other point is checked against)");
     return opt;
 }
 

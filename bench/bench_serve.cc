@@ -39,6 +39,7 @@
 
 #include <sys/socket.h>
 
+#include "bench/bench_common.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "support/json.h"
@@ -183,25 +184,22 @@ int
 main(int argc, char **argv)
 {
     BenchOptions opt;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for ", arg);
-            return argv[++i];
-        };
-        if (arg == "--connect")
-            opt.connect = next();
-        else if (arg == "--out")
-            opt.out = next();
-        else if (arg == "--quick")
+    bench::BenchArgs args(argc, argv,
+                          "[--connect SOCKET] [--out FILE.json] [--quick] "
+                          "[--workers N] [--queue-depth N]");
+    while (args.next()) {
+        if (args.is("--connect"))
+            opt.connect = args.value();
+        else if (args.is("--out"))
+            opt.out = args.value();
+        else if (args.is("--quick"))
             opt.quick = true;
-        else if (arg == "--workers")
-            opt.workers = std::stoi(next());
-        else if (arg == "--queue-depth")
-            opt.queueDepth = std::stoul(next());
+        else if (args.is("--workers"))
+            opt.workers = args.number();
+        else if (args.is("--queue-depth"))
+            opt.queueDepth = static_cast<size_t>(args.number());
         else
-            fatal("unknown bench option ", arg);
+            args.unknown();
     }
 
     // --- Spin up (or attach to) the daemon -----------------------------

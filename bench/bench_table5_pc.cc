@@ -20,8 +20,9 @@ using namespace sara;
 using namespace sara::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseNoFlags(argc, argv);
     banner("Table V: SARA vs vanilla Plasticine compiler (DDR3)");
 
     Table t({"app", "PC cycles", "SARA cycles", "speedup", "PC par",

@@ -19,8 +19,9 @@ using namespace sara;
 using namespace sara::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseNoFlags(argc, argv);
     banner("Table VI: SARA (Plasticine 20x20, 1 GHz, HBM2) vs Tesla "
            "V100 (analytical)");
 

@@ -15,13 +15,6 @@ NocModel::NocModel(sim::Scheduler &sched, const NocSpec &spec)
     SARA_ASSERT(spec_.hopLatency >= 1, "NoC hop latency must be >= 1");
 }
 
-NocModel::~NocModel()
-{
-    for (auto &link : links_)
-        for (Flit *f : link.q)
-            delete f;
-}
-
 void
 NocModel::registerStream(const dfg::Stream &s)
 {
@@ -134,9 +127,15 @@ NocModel::injectAt(dfg::StreamId id, uint64_t at, DeliverFn deliver,
     // response delays differ (in-order streams).
     at = std::max(at, ss.lastInjectAt);
     ss.lastInjectAt = at;
-    Flit *f = new Flit{this,    static_cast<int>(id.index()), 0, at,
-                       at,      deliver,
-                       ctx};
+    Flit flit{this, static_cast<int>(id.index()), 0, at, at, deliver, ctx};
+    Flit *f;
+    if (freeFlits_.empty()) {
+        f = &flits_.emplace_back(flit);
+    } else {
+        f = freeFlits_.back();
+        freeFlits_.pop_back();
+        *f = flit;
+    }
     ++flitsInjected_;
     ++inflight_;
     peakInflight_ = std::max(peakInflight_, inflight_);
@@ -324,7 +323,7 @@ NocModel::deliverFlit(Flit *f)
     sampleLoad();
     DeliverFn deliver = f->deliver;
     void *ctx = f->ctx;
-    delete f;
+    freeFlits_.push_back(f);
     deliver(ctx);
 }
 

@@ -94,7 +94,6 @@ class NocModel
     using DeliverFn = void (*)(void *);
 
     NocModel(sim::Scheduler &sched, const NocSpec &spec);
-    ~NocModel();
 
     NocModel(const NocModel &) = delete;
     NocModel &operator=(const NocModel &) = delete;
@@ -223,6 +222,12 @@ class NocModel
 
     std::deque<Link> links_; ///< Stable addresses (CondVar refs).
     std::map<dfg::RouteLink, int> linkIndex_;
+
+    /** Owns every flit (stable addresses); delivered flits go on
+     *  `freeFlits_` and are reused by the next injection, so a steady
+     *  stream of elements allocates no flits. */
+    std::deque<Flit> flits_;
+    std::vector<Flit *> freeFlits_;
 
     uint64_t inflight_ = 0, peakInflight_ = 0;
     uint64_t flitsInjected_ = 0, totalHops_ = 0, totalQueueCycles_ = 0;

@@ -62,15 +62,23 @@ Client::send(const Request &req)
 void
 Client::sendLine(const std::string &line)
 {
+    if (!writeLine(line))
+        fatal("serve client: send(): ", std::strerror(errno));
+}
+
+bool
+Client::writeLine(const std::string &line)
+{
     std::string buf = line + "\n";
     size_t off = 0;
     while (off < buf.size()) {
         ssize_t n = ::send(fd_, buf.data() + off, buf.size() - off,
                            MSG_NOSIGNAL);
         if (n <= 0)
-            fatal("serve client: send(): ", std::strerror(errno));
+            return false;
         off += static_cast<size_t>(n);
     }
+    return true;
 }
 
 std::optional<json::Value>
@@ -96,7 +104,18 @@ Client::recv()
 json::Value
 Client::call(const Request &req)
 {
-    send(req);
+    if (!writeLine(req.str())) {
+        // The daemon may have answered and closed before the request
+        // went out (one `overloaded` line at its connection cap): the
+        // send fails, but the reply is still in the receive buffer.
+        int err = errno;
+        std::optional<json::Value> early;
+        if (err == EPIPE || err == ECONNRESET)
+            early = recv();
+        if (!early)
+            fatal("serve client: send(): ", std::strerror(err));
+        return std::move(*early);
+    }
     auto resp = recv();
     if (!resp)
         fatal("serve client: daemon closed the connection");

@@ -37,12 +37,17 @@ class Client
     /** Read the next response line; nullopt on EOF (daemon closed). */
     std::optional<json::Value> recv();
 
-    /** send + recv for a single outstanding request. */
+    /** send + recv for a single outstanding request. When the daemon
+     *  closed the connection before the request could be sent, returns
+     *  the reply it left behind; throws when there is none. */
     json::Value call(const Request &req);
 
     int fd() const { return fd_; }
 
   private:
+    /** Write `line` + '\n'; false (errno set) when the send fails. */
+    bool writeLine(const std::string &line);
+
     int fd_ = -1;
     std::string pending_;
 };

@@ -222,12 +222,13 @@ Server::acceptLoop()
         }
         if (opt_.maxConnections > 0 && active >= opt_.maxConnections) {
             // Bounded connections: answer with a structured shed and
-            // close — never spawn an unbounded reader thread.
+            // close — never spawn an unbounded reader thread. Count
+            // first, so a client holding the reply sees it counted.
+            count("serve.overloaded");
             std::string line =
                 overloadedResponse(retryAfterHintMs()) + "\n";
             ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
             ::close(fd);
-            count("serve.overloaded");
             continue;
         }
         auto conn = std::make_shared<Conn>();

@@ -398,37 +398,128 @@ Simulator::locate(const MemGroup &grp, int64_t logical) const
 // Engine coroutines
 // ---------------------------------------------------------------------------
 
-Task
-Simulator::awaitNonEmpty(Engine &e, FifoState &f, StallCause cause,
-                         const char *why)
+/**
+ * Awaiter for a stream's data. await_ready() tests the stream inline,
+ * so a wait whose element has already arrived costs no frame and no
+ * event. A blocked wait parks wake() on the data CV; the awaiter lives
+ * in the awaiting coroutine's frame, which pins its address. Each wake
+ * does the per-wakeup bookkeeping, then re-parks or resumes the
+ * coroutine in the same event.
+ */
+struct Simulator::DataWait
 {
-    Scheduler &rs = *e.region->sched;
-    while (f.empty()) {
+    DataWait(Simulator &sim, Engine &e, FifoState &f, StallCause cause,
+             const char *why)
+        : sim(sim), e(e), f(f), cause(cause), why(why)
+    {
+    }
+    // A parked wait list holds this awaiter's address.
+    DataWait(const DataWait &) = delete;
+    DataWait &operator=(const DataWait &) = delete;
+
+    Simulator &sim;
+    Engine &e;
+    FifoState &f;
+    StallCause cause;
+    const char *why;
+    uint64_t blockedAt = 0;
+    std::coroutine_handle<> h;
+
+    bool
+    await_ready()
+    {
+        if (!f.empty()) {
+            e.unpark();
+            return true;
+        }
+        return false;
+    }
+    void
+    await_suspend(std::coroutine_handle<> handle)
+    {
+        h = handle;
+        park();
+    }
+    void await_resume() const noexcept {}
+
+    void
+    park()
+    {
         e.parkOn(Engine::WaitKind::StreamData, f.spec().id.v, why,
                  f.spec().name);
-        uint64_t blockedAt = rs.now();
+        blockedAt = e.region->sched->now();
         e.grantWake = nullptr;
-        co_await f.dataCv.wait();
-        f.dataCv.wakeLanded();
-        noteWake(e, WakeClass::FifoData, f.empty());
-        e.stats.stallCycles[static_cast<int>(cause)] +=
-            rs.now() - blockedAt;
+        f.dataCv.park(&DataWait::wake, this);
     }
-    e.unpark();
-}
 
-Task
-Simulator::awaitSpace(Engine &e, FifoState &f, StallCause cause,
-                      const char *why)
+    static void
+    wake(void *p)
+    {
+        auto &w = *static_cast<DataWait *>(p);
+        w.f.dataCv.wakeLanded();
+        w.sim.noteWake(w.e, WakeClass::FifoData, w.f.empty());
+        w.e.stats.stallCycles[static_cast<int>(w.cause)] +=
+            w.e.region->sched->now() - w.blockedAt;
+        if (w.await_ready())
+            w.h.resume();
+        else
+            w.park();
+    }
+};
+
+/**
+ * Awaiter for a stream's credit, as DataWait. Two independent
+ * admission gates, each with its own attribution: the end-to-end
+ * credit window (consumer backpressure -> `cause`, normally Credit)
+ * and, on NoC runs, the first-hop link buffer (network contention ->
+ * Network). Both are re-checked after every wakeup; the cycles blocked
+ * on each gate are disjoint.
+ */
+struct Simulator::SpaceWait
 {
-    // Two independent admission gates, each with its own attribution:
-    // the end-to-end credit window (consumer backpressure -> `cause`,
-    // normally Credit) and, on NoC runs, the first-hop link buffer
-    // (network contention -> Network). Both are re-checked after every
-    // wakeup; the cycles blocked on each gate are disjoint.
-    Scheduler &rs = *e.region->sched;
-    while (true) {
+    SpaceWait(Simulator &sim, Engine &e, FifoState &f, StallCause cause,
+              const char *why)
+        : sim(sim), e(e), f(f), cause(cause), why(why)
+    {
+    }
+    // A parked wait list holds this awaiter's address.
+    SpaceWait(const SpaceWait &) = delete;
+    SpaceWait &operator=(const SpaceWait &) = delete;
+
+    Simulator &sim;
+    Engine &e;
+    FifoState &f;
+    StallCause cause;
+    const char *why;
+    uint64_t blockedAt = 0;
+    std::coroutine_handle<> h;
+
+    bool
+    await_ready()
+    {
+        if (f.hasSpace() && f.canInject()) {
+            e.unpark();
+            return true;
+        }
+        return false;
+    }
+    void
+    await_suspend(std::coroutine_handle<> handle)
+    {
+        h = handle;
+        park();
+    }
+    void await_resume() const noexcept {}
+
+    /** Park on the first closed gate. */
+    void
+    park()
+    {
+        Scheduler &rs = *e.region->sched;
         if (!f.hasSpace()) {
+            e.parkOn(Engine::WaitKind::StreamSpace, f.spec().id.v, why,
+                     f.spec().name);
+            e.grantWake = nullptr;
             if (f.isCut()) {
                 // The local credit view of a cross-region stream is
                 // full. The sequential core returns credits the same
@@ -437,47 +528,74 @@ Simulator::awaitSpace(Engine &e, FifoState &f, StallCause cause,
                 // parallel attempt instead (the run falls back to the
                 // sequential core) and park until teardown.
                 f.noteCutConflict();
-                e.parkOn(Engine::WaitKind::StreamSpace, f.spec().id.v,
-                         why, f.spec().name);
-                e.grantWake = nullptr;
-                co_await f.spaceCv.wait(); // Never notified.
-                co_return;
+                f.spaceCv.park(&Scheduler::resumeFn, h.address());
+                return;
             }
-            e.parkOn(Engine::WaitKind::StreamSpace, f.spec().id.v, why,
-                     f.spec().name);
-            uint64_t blockedAt = rs.now();
-            e.grantWake = nullptr;
-            co_await f.spaceCv.wait();
-            f.spaceCv.wakeLanded();
-            noteWake(e, WakeClass::FifoSpace, !f.hasSpace());
-            e.stats.stallCycles[static_cast<int>(cause)] +=
-                rs.now() - blockedAt;
-            continue;
+            blockedAt = rs.now();
+            f.spaceCv.park(&SpaceWait::spaceWake, this);
+            return;
         }
-        if (!f.canInject()) {
-            e.parkOn(Engine::WaitKind::NetInject, f.spec().id.v,
-                     "link busy", f.spec().name);
-            uint64_t blockedAt = rs.now();
-            // An engine that was just woken off this link's wait list
-            // re-parks at the notify cursor — the slot its broadcast
-            // re-park would occupy (after same-cycle racers, before
-            // the surviving waiters): see CondVar::notifyOne and
-            // Engine::grantWake.
-            sim::CondVar &icv = f.injectCv();
-            bool atCursor = opt_.targetedWakeups && e.grantWake == &icv;
-            e.grantWake = nullptr;
-            co_await icv.wait(atCursor);
-            icv.wakeLanded();
-            e.grantWake = &icv;
-            noteWake(e, WakeClass::NocInject,
-                     !f.hasSpace() || !f.canInject());
-            e.stats.stallCycles[static_cast<int>(
-                StallCause::Network)] += rs.now() - blockedAt;
-            continue;
-        }
-        break;
+        e.parkOn(Engine::WaitKind::NetInject, f.spec().id.v, "link busy",
+                 f.spec().name);
+        blockedAt = rs.now();
+        // An engine that was just woken off this link's wait list
+        // re-parks at the notify cursor — the slot its broadcast
+        // re-park would occupy (after same-cycle racers, before the
+        // surviving waiters): see CondVar::notifyOne and
+        // Engine::grantWake.
+        CondVar &icv = f.injectCv();
+        bool atCursor = sim.opt_.targetedWakeups && e.grantWake == &icv;
+        e.grantWake = nullptr;
+        icv.park(&SpaceWait::injectWake, this, atCursor);
     }
-    e.unpark();
+
+    static void
+    spaceWake(void *p)
+    {
+        auto &w = *static_cast<SpaceWait *>(p);
+        w.f.spaceCv.wakeLanded();
+        w.sim.noteWake(w.e, WakeClass::FifoSpace, !w.f.hasSpace());
+        w.e.stats.stallCycles[static_cast<int>(w.cause)] +=
+            w.e.region->sched->now() - w.blockedAt;
+        w.recheck();
+    }
+
+    static void
+    injectWake(void *p)
+    {
+        auto &w = *static_cast<SpaceWait *>(p);
+        CondVar &icv = w.f.injectCv();
+        icv.wakeLanded();
+        w.e.grantWake = &icv;
+        w.sim.noteWake(w.e, WakeClass::NocInject,
+                       !w.f.hasSpace() || !w.f.canInject());
+        w.e.stats.stallCycles[static_cast<int>(StallCause::Network)] +=
+            w.e.region->sched->now() - w.blockedAt;
+        w.recheck();
+    }
+
+    void
+    recheck()
+    {
+        if (await_ready())
+            h.resume();
+        else
+            park();
+    }
+};
+
+Simulator::DataWait
+Simulator::awaitNonEmpty(Engine &e, FifoState &f, StallCause cause,
+                         const char *why)
+{
+    return DataWait(*this, e, f, cause, why);
+}
+
+Simulator::SpaceWait
+Simulator::awaitSpace(Engine &e, FifoState &f, StallCause cause,
+                      const char *why)
+{
+    return SpaceWait(*this, e, f, cause, why);
 }
 
 Task
@@ -505,18 +623,18 @@ Simulator::runLevel(Engine &e, int k)
         e.curMin[k] = c.min;
         e.curStep[k] = c.step;
         e.curMax[k] = c.max;
-        auto resolve = [&](int bindingIdx, int64_t &slot) -> Task {
-            auto &f = fifos_[u.inputs[bindingIdx].stream.index()];
+        const std::pair<int, int64_t *> bounds[] = {
+            {c.minInput, &e.curMin[k]},
+            {c.stepInput, &e.curStep[k]},
+            {c.maxInput, &e.curMax[k]}};
+        for (auto [bi, slot] : bounds) {
+            if (bi < 0)
+                continue;
+            auto &f = fifos_[u.inputs[bi].stream.index()];
             co_await awaitNonEmpty(e, f, StallCause::InputData,
                                    "loop bound");
-            slot = std::llround(f.front()[0]);
-        };
-        if (c.minInput >= 0)
-            co_await resolve(c.minInput, e.curMin[k]);
-        if (c.stepInput >= 0)
-            co_await resolve(c.stepInput, e.curStep[k]);
-        if (c.maxInput >= 0)
-            co_await resolve(c.maxInput, e.curMax[k]);
+            *slot = std::llround(f.front()[0]);
+        }
     }
 
     // Branch predicates conditioning rounds of level k. All are read

@@ -277,6 +277,8 @@ class Simulator
     struct Engine;
     struct MemGroup;
     struct Region;
+    struct DataWait;
+    struct SpaceWait;
 
     // Engine coroutines.
     Task runUnit(Engine &e);
@@ -284,10 +286,13 @@ class Simulator
     Task fireOnce(Engine &e);
     Task wrapActions(Engine &e, int k);
     Task skipRound(Engine &e, int k);
-    Task awaitNonEmpty(Engine &e, FifoState &f, StallCause cause,
-                       const char *why);
-    Task awaitSpace(Engine &e, FifoState &f, StallCause cause,
-                    const char *why);
+    /** Awaitable: the stream has a readable element. */
+    DataWait awaitNonEmpty(Engine &e, FifoState &f, StallCause cause,
+                           const char *why);
+    /** Awaitable: the stream has a credit (and, on NoC runs, its
+     *  first-hop link a free slot). */
+    SpaceWait awaitSpace(Engine &e, FifoState &f, StallCause cause,
+                         const char *why);
 
     // Firing helpers.
     void evalLops(Engine &e);

@@ -4,18 +4,26 @@
 /**
  * @file
  * Minimal coroutine runtime for the discrete-event simulator. Each
- * virtual unit executes as a Task coroutine; awaiting a condition
- * parks the coroutine on a wait list, and the scheduler resumes it
- * when the condition may have changed (spurious wakeups are allowed —
- * awaiters re-check their predicate in a loop).
+ * virtual unit executes as a Task coroutine. A wait on a condition
+ * takes one of two forms, and either form may see spurious wakeups:
+ *   - a coroutine parks itself on a CondVar and re-checks in a loop
+ *     (`while (!cond) co_await cv.wait()`);
+ *   - an awaiter struct checks the condition inline in await_ready()
+ *     and, only when blocked, parks a callback (`cv.park(fn, arg)`)
+ *     that re-checks on every wake and resumes the coroutine itself
+ *     once the condition holds. The simulator's stream waits use this
+ *     form, so a wait that is already satisfied costs no frame.
+ * Task frames come from a thread-local free list (FrameCache).
  */
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <new>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -24,6 +32,89 @@
 #include "support/logging.h"
 
 namespace sara::sim {
+
+/**
+ * Thread-local recycler for Task coroutine frames, bucketed into
+ * 64-byte size classes. The fire path creates and destroys a few
+ * frames of the same sizes per firing (runLevel, fireOnce,
+ * wrapActions, ...), so after warm-up every frame comes off a free
+ * list. The lists are per thread, not per simulator: region-parallel
+ * runs create and free frames on several threads at once. Frames
+ * larger than the biggest class go straight to the global heap.
+ */
+class FrameCache
+{
+  public:
+    FrameCache() = default;
+    FrameCache(const FrameCache &) = delete;
+    FrameCache &operator=(const FrameCache &) = delete;
+
+    static void *
+    allocate(std::size_t n)
+    {
+        std::size_t c = sizeClass(n);
+        if (c >= kClasses)
+            return ::operator new(n);
+        FrameCache &fc = local();
+        if (Block *b = fc.free_[c]) {
+            fc.free_[c] = b->next;
+            --fc.count_[c];
+            return b;
+        }
+        return ::operator new((c + 1) * kGranule);
+    }
+
+    static void
+    release(void *p, std::size_t n) noexcept
+    {
+        std::size_t c = sizeClass(n);
+        FrameCache &fc = local();
+        if (c >= kClasses || fc.count_[c] >= kMaxFree) {
+            ::operator delete(p);
+            return;
+        }
+        auto *b = static_cast<Block *>(p);
+        b->next = fc.free_[c];
+        fc.free_[c] = b;
+        ++fc.count_[c];
+    }
+
+    ~FrameCache()
+    {
+        for (std::size_t c = 0; c < kClasses; ++c) {
+            while (Block *b = free_[c]) {
+                free_[c] = b->next;
+                ::operator delete(b);
+            }
+            count_[c] = kMaxFree; // Later releases bypass the list.
+        }
+    }
+
+  private:
+    struct Block
+    {
+        Block *next;
+    };
+    static constexpr std::size_t kGranule = 64;
+    static constexpr std::size_t kClasses = 32; ///< Frames up to 2 KiB.
+    static constexpr std::size_t kMaxFree = 1024; ///< Per class.
+
+    static std::size_t
+    sizeClass(std::size_t n)
+    {
+        return (n - 1) / kGranule;
+    }
+
+    static FrameCache &
+    local()
+    {
+        static thread_local FrameCache fc;
+        return fc;
+    }
+
+    std::array<Block *, kClasses> free_{};
+    std::array<std::size_t, kClasses> count_{};
+};
 
 /**
  * A coroutine task supporting nested co_await of child tasks
@@ -36,6 +127,17 @@ class Task
     {
         std::coroutine_handle<> continuation;
         std::exception_ptr exception;
+
+        static void *
+        operator new(std::size_t n)
+        {
+            return FrameCache::allocate(n);
+        }
+        static void
+        operator delete(void *p, std::size_t n) noexcept
+        {
+            FrameCache::release(p, n);
+        }
 
         Task
         get_return_object()
@@ -170,15 +272,18 @@ class Scheduler
         }
     }
 
+    /** Event callback resuming the coroutine whose address is `p`. */
+    static void
+    resumeFn(void *p)
+    {
+        std::coroutine_handle<>::from_address(p).resume();
+    }
+
     /** Schedule `h` to resume at absolute time `at`. */
     void
     scheduleAt(std::coroutine_handle<> h, uint64_t at)
     {
-        scheduleFnAt(
-            [](void *p) {
-                std::coroutine_handle<>::from_address(p).resume();
-            },
-            h.address(), at);
+        scheduleFnAt(&resumeFn, h.address(), at);
     }
 
     void
@@ -409,13 +514,17 @@ class Scheduler
 };
 
 /**
- * A wait list: tasks park here until notified, then re-check their
- * condition (level-triggered use: `while (!cond) co_await cv.wait()`).
+ * A wait list of callbacks. A notify schedules the woken callback at
+ * the current time; the waiter then re-checks its condition. wait()
+ * parks a callback that resumes the awaiting coroutine (level-triggered
+ * use: `while (!cond) co_await cv.wait()`); park() takes any callback,
+ * which lets an awaiter re-check and re-park without resuming its
+ * coroutine. Both kinds share one list and one order.
  *
- * Wakeup policies: notifyAll() broadcasts (every waiter resumes and
+ * Wakeup policies: notifyAll() broadcasts (every waiter runs and
  * re-checks), notifyOne() wakes only the front (FIFO) waiter and
  * opens an insertion cursor so that same-cycle racers and the woken
- * waiter's own re-park (`wait(atCursor = true)`) land in exactly the
+ * waiter's own re-park (with `atCursor`) land in exactly the
  * wait-list order a broadcast would have rebuilt; see notifyOne().
  */
 class CondVar
@@ -444,20 +553,38 @@ class CondVar
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                cv.park(h, atCursor);
+                cv.park(&Scheduler::resumeFn, h.address(), atCursor);
             }
             void await_resume() const noexcept {}
         };
         return Awaiter{*this, atCursor};
     }
 
-    /** Wake all waiters (they resume at the current time). */
+    /**
+     * Park the callback `fn(arg)`; a notify schedules it at the current
+     * time. With `atCursor` (or while a notifyOne wake is in flight)
+     * it goes to the notify cursor — see notifyOne().
+     */
+    void
+    park(Scheduler::EventFn fn, void *arg, bool atCursor = false)
+    {
+        telemetry::ScopedPhase phase(telemetry::HostPhase::CvWait);
+        size_t pos = atCursor || wakeInFlight_
+                         ? std::min(cursor_, waiters_.size())
+                         : waiters_.size();
+        waiters_.insert(waiters_.begin() + static_cast<ptrdiff_t>(pos),
+                        Waiter{fn, arg});
+        if (wakeInFlight_ && !atCursor)
+            ++cursor_; // Fresh racers stack up in arrival order.
+    }
+
+    /** Wake all waiters (they run at the current time). */
     void
     notifyAll()
     {
         telemetry::ScopedPhase phase(telemetry::HostPhase::CvWait);
-        for (auto h : waiters_)
-            sched_->scheduleAfter(h, 0);
+        for (const Waiter &w : waiters_)
+            sched_->scheduleFnAt(w.fn, w.arg, sched_->now());
         waiters_.clear();
         wakeInFlight_ = false;
     }
@@ -471,7 +598,7 @@ class CondVar
      * cycle-identical with that emergent order, notifyOne opens an
      * insertion cursor at the list front: parks that execute while the
      * wake is still in flight slot in before the surviving waiters,
-     * and the woken engine's own immediate re-park (wait with
+     * and the woken engine's own immediate re-park (a park with
      * atCursor, see Engine::grantWake) lands right after them —
      * exactly where its broadcast re-park would have gone. The woken
      * waiter's resume closes the window via wakeLanded().
@@ -482,34 +609,28 @@ class CondVar
         if (waiters_.empty())
             return;
         telemetry::ScopedPhase phase(telemetry::HostPhase::CvWait);
-        sched_->scheduleAfter(waiters_.front(), 0);
+        const Waiter w = waiters_.front();
+        sched_->scheduleFnAt(w.fn, w.arg, sched_->now());
         waiters_.erase(waiters_.begin());
         wakeInFlight_ = true;
         cursor_ = 0;
     }
 
-    /** The waiter woken by notifyOne resumed; stop front-slotting
-     *  fresh parks (call on every resume from wait()). */
+    /** The waiter woken by notifyOne ran; stop front-slotting fresh
+     *  parks (call on every wake, coroutine or callback). */
     void wakeLanded() { wakeInFlight_ = false; }
 
     bool hasWaiters() const { return !waiters_.empty(); }
 
   private:
-    void
-    park(std::coroutine_handle<> h, bool atCursor)
+    struct Waiter
     {
-        telemetry::ScopedPhase phase(telemetry::HostPhase::CvWait);
-        size_t pos = atCursor || wakeInFlight_
-                         ? std::min(cursor_, waiters_.size())
-                         : waiters_.size();
-        waiters_.insert(waiters_.begin() + static_cast<ptrdiff_t>(pos),
-                        h);
-        if (wakeInFlight_ && !atCursor)
-            ++cursor_; // Fresh racers stack up in arrival order.
-    }
+        Scheduler::EventFn fn;
+        void *arg;
+    };
 
     Scheduler *sched_ = nullptr;
-    std::vector<std::coroutine_handle<>> waiters_;
+    std::vector<Waiter> waiters_;
     /** True between notifyOne() and the woken waiter's resume. */
     bool wakeInFlight_ = false;
     /** Front-insertion point while a wake is in flight. */

@@ -1,10 +1,11 @@
 /**
  * @file
  * End-to-end CLI tests: drives the real sarac binary (path injected by
- * CMake as SARAC_PATH; sarad's as SARAD_PATH) and checks the exit-code
- * contract — 0 success (and --help), 2 usage, 3 invalid input /
- * exhausted cycle budget, 4 internal — plus the artifact emit/load
- * flags and cache-cold vs cache-warm --batch.
+ * CMake as SARAC_PATH; sarad's as SARAD_PATH; the bench binaries sit
+ * in BENCH_DIR) and checks the exit-code contract — 0 success (and
+ * --help), 2 usage, 3 invalid input / exhausted cycle budget, 4
+ * internal — plus the artifact emit/load flags and cache-cold vs
+ * cache-warm --batch.
  */
 
 #include <gtest/gtest.h>
@@ -116,6 +117,29 @@ TEST(Cli, HelpPrintsUsageOnStdoutAndExitsZero)
         auto bad = runTool(binary, "--frobnicate", "2>/dev/null");
         EXPECT_EQ(bad.exitCode, 2) << binary;
         EXPECT_EQ(bad.output, "") << binary;
+    }
+}
+
+TEST(Cli, BenchBinariesFollowTheUsageContract)
+{
+    // bench_micro is left out: it is a google-benchmark binary with
+    // that library's own flag parser.
+    for (const char *name :
+         {"bench_chaos", "bench_fig9_scaling", "bench_fig10_opts",
+          "bench_fig11_partition", "bench_graph", "bench_perf",
+          "bench_serve", "bench_table5_pc", "bench_table6_gpu"}) {
+        std::string binary = std::string(BENCH_DIR) + "/" + name;
+        auto help = runTool(binary, "--help", "2>/dev/null");
+        EXPECT_EQ(help.exitCode, 0) << name;
+        EXPECT_EQ(help.output.rfind("usage: ", 0), 0u)
+            << name << ": " << help.output;
+        // Usage errors print only to stderr and exit 2.
+        auto bad = runTool(binary, "--bogus", "2>/dev/null");
+        EXPECT_EQ(bad.exitCode, 2) << name;
+        EXPECT_EQ(bad.output, "") << name;
+        auto why = runTool(binary, "--bogus", "2>&1 >/dev/null");
+        EXPECT_NE(why.output.find("usage: "), std::string::npos)
+            << name << ": " << why.output;
     }
 }
 

@@ -343,6 +343,26 @@ TEST(CondVar, NotifyOneWakesLongestParked)
     EXPECT_TRUE(b.done());
 }
 
+/** A slot grant event: one slot and notifyOne, or a broadcast with
+ *  enough slots for every waiter. */
+struct Grant
+{
+    CondVar *cv;
+    int *slots;
+    bool all;
+
+    static void
+    fire(void *p)
+    {
+        auto *g = static_cast<Grant *>(p);
+        *g->slots += g->all ? 3 : 1;
+        if (g->all)
+            g->cv->notifyAll();
+        else
+            g->cv->notifyOne();
+    }
+};
+
 TEST(CondVar, NotifyCursorMatchesBroadcastOrder)
 {
     // The NoC grant scenario: A and B parked; a grant wakes A
@@ -362,31 +382,69 @@ TEST(CondVar, NotifyCursorMatchesBroadcastOrder)
     sched.scheduleAt(a.handle(), 0);
     sched.scheduleAt(b.handle(), 0);
     sched.scheduleAt(c.handle(), 0); // Parks itself until cycle 5.
-    struct Ctx
-    {
-        CondVar *cv;
-        int *slots;
-        bool all;
-    } one{&cv, &slots, false}, all{&cv, &slots, true};
-    auto grant = [](void *p) {
-        auto *c = static_cast<Ctx *>(p);
-        *c->slots += c->all ? 3 : 1;
-        if (c->all)
-            c->cv->notifyAll();
-        else
-            c->cv->notifyOne();
-    };
+    Grant one{&cv, &slots, false}, all{&cv, &slots, true};
     // Cycle 5: one slot. notifyOne puts A's wake in flight; C's delay
     // expiry (scheduled at cycle 0, smaller seq) runs first, steals
     // the slot and parks its second request at the cursor. A then
     // re-parks spuriously behind it: list [C, A, B].
-    sched.scheduleFnAt(grant, &one, 5);
+    sched.scheduleFnAt(&Grant::fire, &one, 5);
     // Cycle 20: broadcast with slots for everyone — the resulting log
     // order exposes the wait-list order directly.
-    sched.scheduleFnAt(grant, &all, 20);
+    sched.scheduleFnAt(&Grant::fire, &all, 20);
     sched.run();
     EXPECT_EQ(log, (std::vector<int>{3, 3, 1, 2}));
     EXPECT_TRUE(a.done());
+    EXPECT_TRUE(b.done());
+    EXPECT_TRUE(c.done());
+}
+
+/** slotTaker's protocol as a callback waiter (the simulator's stream
+ *  awaiters work this way): each wake either takes a slot or re-parks
+ *  at the notify cursor, without any coroutine resuming. */
+struct CallbackTaker
+{
+    CondVar *cv;
+    int *slots;
+    std::vector<int> *log;
+    int id;
+
+    static void
+    wake(void *p)
+    {
+        auto *t = static_cast<CallbackTaker *>(p);
+        t->cv->wakeLanded();
+        if (*t->slots == 0) {
+            t->cv->park(&CallbackTaker::wake, t, /*atCursor=*/true);
+            return;
+        }
+        --*t->slots;
+        t->log->push_back(t->id);
+    }
+};
+
+TEST(CondVar, CallbackWaitersKeepTheBroadcastOrder)
+{
+    // NotifyCursorMatchesBroadcastOrder with A as a callback waiter on
+    // the same CondVar as the coroutines B and C: A loses the cycle-5
+    // race to C and re-parks at the cursor from inside its own wake.
+    // The wait list must rebuild as [C, A, B] all the same.
+    Scheduler sched;
+    CondVar cv;
+    cv.bind(sched);
+    int slots = 0;
+    std::vector<int> log;
+    CallbackTaker a{&cv, &slots, &log, 1};
+    cv.park(&CallbackTaker::wake, &a);
+    Task b = slotTaker(sched, cv, slots, log, 2, 1, 0);
+    Task c = slotTaker(sched, cv, slots, log, 3, 2, 5);
+    sched.scheduleAt(b.handle(), 0);
+    sched.scheduleAt(c.handle(), 0);
+    Grant one{&cv, &slots, false}, all{&cv, &slots, true};
+    sched.scheduleFnAt(&Grant::fire, &one, 5);
+    sched.scheduleFnAt(&Grant::fire, &all, 20);
+    sched.run();
+    EXPECT_EQ(log, (std::vector<int>{3, 3, 1, 2}));
+    EXPECT_FALSE(cv.hasWaiters());
     EXPECT_TRUE(b.done());
     EXPECT_TRUE(c.done());
 }

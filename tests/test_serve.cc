@@ -576,7 +576,7 @@ namespace {
 
 serve::Request
 runReq(const std::string &id, const std::string &workload, int par,
-       uint64_t maxCycles = 0)
+       uint64_t maxCycles = 0, int scale = 1)
 {
     serve::Request r;
     r.id = id;
@@ -584,6 +584,7 @@ runReq(const std::string &id, const std::string &workload, int par,
     r.workload = workload;
     r.par = par;
     r.maxCycles = maxCycles;
+    r.scale = scale;
     return r;
 }
 
@@ -779,6 +780,43 @@ TEST(ServeServer, ConnectionLimitSendsStructuredOverloaded)
     reg.setEnabled(false);
 }
 
+TEST(ServeClient, CallReturnsReplyLeftByAClosedDaemon)
+{
+    // A stand-in daemon at its connection cap: accept, write one
+    // `overloaded` line, close — all before the client sends. The
+    // client's send then fails (EPIPE), but call() must still return
+    // the line waiting in its receive buffer.
+    std::string path = testSocketPath("closed");
+    int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof addr),
+              0);
+    ASSERT_EQ(::listen(lfd, 1), 0);
+
+    serve::Client client(path);
+    int cfd = ::accept(lfd, nullptr, nullptr);
+    ASSERT_GE(cfd, 0);
+    std::string line =
+        R"({"id":"","status":"overloaded","retry_after_ms":50})"
+        "\n";
+    ASSERT_EQ(::send(cfd, line.data(), line.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(line.size()));
+    ::close(cfd);
+
+    serve::Request st;
+    st.id = "s";
+    st.verb = serve::Verb::Stats;
+    json::Value v = client.call(st);
+    EXPECT_EQ(v.at("status").str, "overloaded");
+    EXPECT_EQ(v.at("retry_after_ms").num, 50.0);
+    ::close(lfd);
+    fs::remove(path);
+}
+
 TEST(ServeServer, WatchdogCancelsRunawayRequestAndDaemonSurvives)
 {
     auto &reg = telemetry::Registry::global();
@@ -786,16 +824,17 @@ TEST(ServeServer, WatchdogCancelsRunawayRequestAndDaemonSurvives)
     reg.setEnabled(true);
 
     auto opt = testOptions("watchdog", 2, 8);
-    // A 1 ms wall-clock deadline: the cold compile alone exceeds it,
-    // so the watchdog flags the request and the simulator cancels at
-    // its first cycle poll. Deterministic, no sleeps.
+    // A 1 ms wall-clock deadline against a request whose simulation
+    // runs for seconds uncancelled (lstm par 8 at scale 16): whenever
+    // the watchdog's tick lands, the run is still in flight, so the
+    // simulator cancels at its next cycle poll. No sleeps.
     opt.requestDeadlineMs = 1.0;
     serve::Server server(std::move(opt));
     server.start();
     ASSERT_TRUE(serve::waitForServer(server.socketPath(), 5000));
     {
         serve::Client client(server.socketPath());
-        json::Value v = client.call(runReq("w1", "ms", 4));
+        json::Value v = client.call(runReq("w1", "lstm", 8, 0, 16));
         ASSERT_EQ(v.at("status").str, "error");
         EXPECT_NE(v.at("error").str.find("deadline"), std::string::npos)
             << v.at("error").str;
