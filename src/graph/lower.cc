@@ -430,7 +430,8 @@ lowerGraph(const LayerGraph &gIn, const LowerOptions &opt)
     LayerGraph g = gIn;
     for (Node &n : g.nodes)
         if (n.kind == NodeKind::Input && !n.shape.dims.empty())
-            n.shape.dims[0] *= std::max(1, opt.scale);
+            n.shape.dims[n.shape.dims.size() == 3 ? 1 : 0] *=
+                std::max(1, opt.scale);
     for (const auto &[name, par] : opt.parOverride) {
         if (!g.find(name))
             fatal("graph '", g.name, "': par override for unknown node '",

@@ -32,8 +32,10 @@ struct LowerOptions
 {
     /** Default par factor for layers without a hint. */
     int par = 16;
-    /** Problem-size multiplier: scales the leading (batch) dimension
-     *  of every graph input. */
+    /** Problem-size multiplier for every graph input: the leading
+     *  (batch / row) dimension of a rank-1 or rank-2 input, the height
+     *  of a rank-3 [C, H, W] input (its channels must keep matching
+     *  the conv weights). */
     int scale = 1;
     /** Seed for the generated weights and input data. */
     uint64_t seed = 42;

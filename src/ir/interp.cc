@@ -7,41 +7,97 @@
 
 namespace sara::ir {
 
-double
-evalScalar(OpKind kind, const double *args)
+void
+evalLanes(OpKind kind, const double *a, const double *b, const double *c,
+          double *out, int lanes)
 {
+    // The switch runs once per op; each kind's lane loop is its own
+    // straight-line kernel.
+    auto unary = [&](auto f) {
+        for (int l = 0; l < lanes; ++l)
+            out[l] = f(a[l]);
+    };
+    auto binary = [&](auto f) {
+        for (int l = 0; l < lanes; ++l)
+            out[l] = f(a[l], b[l]);
+    };
+    auto flag = [](bool v) { return v ? 1.0 : 0.0; };
     switch (kind) {
-      case OpKind::Neg: return -args[0];
-      case OpKind::Abs: return std::fabs(args[0]);
-      case OpKind::Exp: return std::exp(args[0]);
-      case OpKind::Log: return std::log(args[0]);
-      case OpKind::Sqrt: return std::sqrt(args[0]);
-      case OpKind::Sigmoid: return 1.0 / (1.0 + std::exp(-args[0]));
-      case OpKind::Tanh: return std::tanh(args[0]);
-      case OpKind::Relu: return args[0] > 0.0 ? args[0] : 0.0;
-      case OpKind::Floor: return std::floor(args[0]);
-      case OpKind::Not: return args[0] == 0.0 ? 1.0 : 0.0;
-      case OpKind::Add: return args[0] + args[1];
-      case OpKind::Sub: return args[0] - args[1];
-      case OpKind::Mul: return args[0] * args[1];
-      case OpKind::Div: return args[0] / args[1];
-      case OpKind::Min: return std::fmin(args[0], args[1]);
-      case OpKind::Max: return std::fmax(args[0], args[1]);
-      case OpKind::Mod: return std::fmod(args[0], args[1]);
+      case OpKind::Neg: return unary([](double x) { return -x; });
+      case OpKind::Abs:
+        return unary([](double x) { return std::fabs(x); });
+      case OpKind::Exp:
+        return unary([](double x) { return std::exp(x); });
+      case OpKind::Log:
+        return unary([](double x) { return std::log(x); });
+      case OpKind::Sqrt:
+        return unary([](double x) { return std::sqrt(x); });
+      case OpKind::Sigmoid:
+        return unary([](double x) { return 1.0 / (1.0 + std::exp(-x)); });
+      case OpKind::Tanh:
+        return unary([](double x) { return std::tanh(x); });
+      case OpKind::Relu:
+        return unary([](double x) { return x > 0.0 ? x : 0.0; });
+      case OpKind::Floor:
+        return unary([](double x) { return std::floor(x); });
+      case OpKind::Not:
+        return unary([&](double x) { return flag(x == 0.0); });
+      case OpKind::Add:
+        return binary([](double x, double y) { return x + y; });
+      case OpKind::Sub:
+        return binary([](double x, double y) { return x - y; });
+      case OpKind::Mul:
+        return binary([](double x, double y) { return x * y; });
+      case OpKind::Div:
+        return binary([](double x, double y) { return x / y; });
+      // fmin / fmax, with the tie of +0 and -0 (unspecified in C, and
+      // resolved by whichever operand order the compiler passes to libm)
+      // pinned to the first operand.
+      case OpKind::Min:
+        return binary([](double x, double y) {
+            return std::isnan(x) || y < x ? y : x;
+        });
+      case OpKind::Max:
+        return binary([](double x, double y) {
+            return std::isnan(x) || y > x ? y : x;
+        });
+      case OpKind::Mod:
+        return binary([](double x, double y) { return std::fmod(x, y); });
       case OpKind::And:
-        return (args[0] != 0.0 && args[1] != 0.0) ? 1.0 : 0.0;
+        return binary([&](double x, double y) {
+            return flag(x != 0.0 && y != 0.0);
+        });
       case OpKind::Or:
-        return (args[0] != 0.0 || args[1] != 0.0) ? 1.0 : 0.0;
-      case OpKind::CmpLt: return args[0] < args[1] ? 1.0 : 0.0;
-      case OpKind::CmpLe: return args[0] <= args[1] ? 1.0 : 0.0;
-      case OpKind::CmpEq: return args[0] == args[1] ? 1.0 : 0.0;
-      case OpKind::CmpNe: return args[0] != args[1] ? 1.0 : 0.0;
-      case OpKind::CmpGt: return args[0] > args[1] ? 1.0 : 0.0;
-      case OpKind::CmpGe: return args[0] >= args[1] ? 1.0 : 0.0;
-      case OpKind::Select: return args[0] != 0.0 ? args[1] : args[2];
-      case OpKind::Mac: return args[0] * args[1] + args[2];
+        return binary([&](double x, double y) {
+            return flag(x != 0.0 || y != 0.0);
+        });
+      case OpKind::CmpLt:
+        return binary([&](double x, double y) { return flag(x < y); });
+      case OpKind::CmpLe:
+        return binary([&](double x, double y) { return flag(x <= y); });
+      case OpKind::CmpEq:
+        return binary([&](double x, double y) { return flag(x == y); });
+      case OpKind::CmpNe:
+        return binary([&](double x, double y) { return flag(x != y); });
+      case OpKind::CmpGt:
+        return binary([&](double x, double y) { return flag(x > y); });
+      case OpKind::CmpGe:
+        return binary([&](double x, double y) { return flag(x >= y); });
+      case OpKind::Select:
+        for (int l = 0; l < lanes; ++l)
+            out[l] = a[l] != 0.0 ? b[l] : c[l];
+        return;
+      case OpKind::Mac:
+        // Two roundings, never a fused multiply-add: the product is its
+        // own statement, and an ISO C++ build (no GNU extensions) does
+        // not contract across statements.
+        for (int l = 0; l < lanes; ++l) {
+            const double prod = a[l] * b[l];
+            out[l] = prod + c[l];
+        }
+        return;
       default:
-        panic("evalScalar: op ", opName(kind), " is not a scalar op");
+        panic("evalLanes: op ", opName(kind), " is not a scalar op");
     }
 }
 

@@ -28,8 +28,24 @@ struct InterpResult
     uint64_t opsExecuted = 0;
 };
 
-/** Scalar evaluation of a single non-memory, non-reduce op kind. */
-double evalScalar(OpKind kind, const double *args);
+/**
+ * Evaluate a non-memory, non-reduce op kind over `lanes` lanes:
+ * out[l] = kind(a[l], b[l], c[l]). Operands past the kind's arity are
+ * not read. The one definition of scalar op semantics, shared by the
+ * interpreter (one lane) and the simulator's datapath (all active lanes).
+ */
+void evalLanes(OpKind kind, const double *a, const double *b,
+               const double *c, double *out, int lanes);
+
+/** Scalar evaluation of a single non-memory, non-reduce op kind: the
+ *  one-lane evalLanes over args[0..2]. */
+inline double
+evalScalar(OpKind kind, const double *args)
+{
+    double out;
+    evalLanes(kind, &args[0], &args[1], &args[2], &out, 1);
+    return out;
+}
 
 /** Executes `program` sequentially. */
 class Interpreter

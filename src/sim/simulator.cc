@@ -47,6 +47,33 @@ reduceCombine(ir::OpKind kind, double acc, double v)
     }
 }
 
+/** Address lanes a PMU port or AG can issue in one firing. */
+constexpr int kMaxLanes = 64;
+
+/** Extra cycles a PMU access pays for lanes colliding on a bank. */
+uint64_t
+bankConflictCycles(const int64_t *addrs, int lanes)
+{
+    // Vector accesses with unit stride are conflict-free; otherwise
+    // lanes colliding on a bank (static sharding) or a shard (dynamic
+    // banking) serialize.
+    constexpr int pmuBanks = 16; // Matches arch::PmuSpec::banks.
+    bool contiguous = true;
+    for (int l = 1; l < lanes; ++l)
+        if (addrs[l] != addrs[l - 1] + 1)
+            contiguous = false;
+    if (contiguous || lanes <= 1)
+        return 0;
+    int counts[pmuBanks] = {0};
+    int maxCount = 1;
+    for (int l = 0; l < lanes; ++l) {
+        int bank = static_cast<int>(((addrs[l] % pmuBanks) + pmuBanks) %
+                                    pmuBanks);
+        maxCount = std::max(maxCount, ++counts[bank]);
+    }
+    return static_cast<uint64_t>(maxCount - 1);
+}
+
 bool
 isArith(ir::OpKind kind)
 {
@@ -177,11 +204,14 @@ struct Simulator::Engine
     std::vector<int64_t> val, curMin, curStep, curMax;
     int activeLanes = 1;
 
-    // Datapath lane values and reduction accumulators [lop * vec + lane].
+    // Datapath lane values and reduction accumulators [lop * vec + lane];
+    // `zeros` stands in for an absent operand.
     std::vector<double> lv;
     std::vector<double> redAcc;
+    std::vector<double> zeros;
 
     // Memory / AG state.
+    MemGroup *group = nullptr; ///< MemPort: its tensor's storage group.
     int bufPtr = 0;
     int outstanding = 0;
     CondVar agCv;
@@ -360,6 +390,12 @@ Simulator::buildState()
         e->curMax.assign(e->n, 0);
         e->lv.assign(u.lops.size() * e->vec, 0.0);
         e->redAcc.assign(u.lops.size() * e->vec, 0.0);
+        e->zeros.assign(e->vec, 0.0);
+        if (u.kind == VuKind::MemPort) {
+            auto it = groups_.find(u.tensor.v);
+            if (it != groups_.end())
+                e->group = &it->second;
+        }
         for (const auto &lop : u.lops) {
             if (ir::isReduceOp(lop.kind) || (!lop.isStreamIn() &&
                                              isArith(lop.kind)))
@@ -395,14 +431,14 @@ Simulator::locate(const MemGroup &grp, int64_t logical) const
 }
 
 // ---------------------------------------------------------------------------
-// Engine coroutines
+// The engine coroutine
 // ---------------------------------------------------------------------------
 
 /**
  * Awaiter for a stream's data. await_ready() tests the stream inline,
- * so a wait whose element has already arrived costs no frame and no
- * event. A blocked wait parks wake() on the data CV; the awaiter lives
- * in the awaiting coroutine's frame, which pins its address. Each wake
+ * so a wait whose element has already arrived costs no suspension and
+ * no event. A blocked wait parks wake() on the data CV; the awaiter
+ * lives in the engine's coroutine frame, which pins its address. Each wake
  * does the per-wakeup bookkeeping, then re-parks or resumes the
  * coroutine in the same event.
  */
@@ -598,252 +634,504 @@ Simulator::awaitSpace(Engine &e, FifoState &f, StallCause cause,
     return SpaceWait(*this, e, f, cause, why);
 }
 
+/**
+ * One engine's whole run. The walk keeps its place in the counter
+ * chain as a level index `k` over the counter state the Engine holds
+ * (val, curMin, curStep, curMax) and repeats three steps until level 0
+ * wraps:
+ *   - enter level k: resolve bounds, read predicates, await gates; at
+ *     the innermost level fire (operands, datapath, memory body), above
+ *     it start the loop and descend on a first iteration;
+ *   - wrap level k: push level-k outputs, pop level-k inputs, then the
+ *     skip or fire epilogue;
+ *   - climb: advance the loop at k - 1, then enter k again or wrap k - 1.
+ */
 Task
 Simulator::runUnit(Engine &e)
 {
+    const auto &u = *e.u;
+    Scheduler &rs = *e.region->sched;
+    const int n = e.n;
+    int64_t addrs[kMaxLanes];
     try {
-        co_await runLevel(e, 0);
+        int k = 0;
+        for (bool done = false; !done;) {
+            // Resolve dynamic bounds before reading predicates: bound
+            // streams are produced unconditionally relative to this loop.
+            if (k < n) {
+                const auto &c = u.counters[k];
+                e.curMin[k] = c.min;
+                e.curStep[k] = c.step;
+                e.curMax[k] = c.max;
+                const std::pair<int, int64_t *> bounds[] = {
+                    {c.minInput, &e.curMin[k]},
+                    {c.stepInput, &e.curStep[k]},
+                    {c.maxInput, &e.curMax[k]}};
+                for (auto [bi, slot] : bounds) {
+                    if (bi < 0)
+                        continue;
+                    auto &f = fifos_[u.inputs[bi].stream.index()];
+                    co_await awaitNonEmpty(e, f, StallCause::InputData,
+                                           "loop bound");
+                    *slot = std::llround(f.front()[0]);
+                }
+            }
+
+            // Branch predicates conditioning rounds of level k. All are
+            // read (they are produced unconditionally); any mismatch
+            // skips the round.
+            bool skipped = false;
+            for (int bi : e.predsAt[k]) {
+                auto &f = fifos_[u.inputs[bi].stream.index()];
+                co_await awaitNonEmpty(e, f, StallCause::InputData,
+                                       "branch predicate");
+                if ((f.front()[0] != 0.0) != u.inputs[bi].expectTrue)
+                    skipped = true;
+            }
+
+            // CMMC gate tokens for this level must be present before the
+            // round may proceed (popped at wrap); a skipped round waits
+            // for them too, so forwarding preserves order.
+            for (int bi : e.gatesAt[k]) {
+                auto &f = fifos_[u.inputs[bi].stream.index()];
+                co_await awaitNonEmpty(e, f, StallCause::CmmcToken,
+                                       skipped ? "CMMC token (skip)"
+                                               : "CMMC token");
+            }
+
+            uint64_t extraCycles = 0;
+            if (!skipped && k < n) {
+                if (startLoop(e, k)) {
+                    ++k; // A first iteration descends.
+                    continue;
+                }
+            } else if (!skipped) {
+                // Fire. All operand inputs must be readable (front is
+                // read per firing regardless of pop level).
+                for (int bi : e.operandBindings) {
+                    auto &f = fifos_[u.inputs[bi].stream.index()];
+                    co_await awaitNonEmpty(e, f, StallCause::InputData,
+                                           "operand");
+                }
+                evalLops(e);
+                const int lanes = e.activeLanes;
+
+                if (u.kind == VuKind::MemPort) {
+                    SARA_ASSERT(e.group, u.name, ": no memory group");
+                    // Every port firing moves one element per lane.
+                    e.stats.bytesMoved += static_cast<uint64_t>(lanes) * 4;
+                    laneAddrs(e, addrs);
+                    extraCycles = bankConflictCycles(addrs, lanes);
+                    // Port-bus contention: a PMU applies one read and one
+                    // write vector per cycle (static ports only; dynamic
+                    // groups pay conflicts). Same-cycle requests from
+                    // sibling ports are granted by the end-of-cycle
+                    // arbiter in unit-id order — a deterministic hardware
+                    // arbiter — so the grant sequence is independent of
+                    // the host event interleave (the property the
+                    // region-parallel core relies on).
+                    if (!u.dynamicBank) {
+                        auto &ss = e.group->state[u.shardIndex];
+                        e.busSlot = (u.dir == AccessDir::Read)
+                                        ? &ss.readBusFree
+                                        : &ss.writeBusFree;
+                        e.busExtra = extraCycles;
+                        e.blockReason = "PMU bus";
+                        e.blockDetail = u.name;
+                        e.grantWake = nullptr;
+                        uint64_t blockedAt = rs.now();
+                        e.region->arbBus.push_back(&e);
+                        armArbiter(*e.region);
+                        co_await e.arbCv.wait();
+                        e.arbCv.wakeLanded();
+                        if (e.arbResultAt > rs.now())
+                            co_await rs.delay(e.arbResultAt - rs.now());
+                        e.stats.stallCycles[static_cast<int>(
+                            StallCause::BusContention)] +=
+                            rs.now() - blockedAt;
+                        e.blockReason = "";
+                    }
+                    if (u.dir == AccessDir::Read) {
+                        Element out = readLanes(e, addrs);
+                        auto &f =
+                            fifos_[u.outputs[u.respOutput].stream.index()];
+                        co_await awaitSpace(e, f, StallCause::Credit,
+                                            "read response space");
+                        f.push(std::move(out));
+                    } else {
+                        writeLanes(e, addrs);
+                    }
+                } else if (u.kind == VuKind::Ag) {
+                    while (e.outstanding >= opt_.agOutstanding) {
+                        e.parkOn(Engine::WaitKind::DramWindow, -1,
+                                 "DRAM outstanding limit", u.name);
+                        uint64_t blockedAt = rs.now();
+                        e.grantWake = nullptr;
+                        co_await e.agCv.wait();
+                        e.agCv.wakeLanded();
+                        noteWake(e, WakeClass::Dram,
+                                 e.outstanding >= opt_.agOutstanding);
+                        e.stats.stallCycles[static_cast<int>(
+                            StallCause::DramLatency)] +=
+                            rs.now() - blockedAt;
+                    }
+                    e.unpark();
+
+                    // Hand the bursts to the end-of-cycle DRAM arbiter:
+                    // same-cycle accesses from different AGs hit the
+                    // channel model in unit-id order regardless of the
+                    // host event interleave. The engine suspends and
+                    // resumes within the same cycle, so timing matches an
+                    // AG that issued its request combinationally and got
+                    // the arbitrated completion back.
+                    laneAddrs(e, addrs);
+                    stageBursts(e, addrs);
+                    e.blockReason = "DRAM arbitration";
+                    e.blockDetail = u.name;
+                    e.grantWake = nullptr;
+                    e.region->arbDram.push_back(&e);
+                    armArbiter(*e.region);
+                    co_await e.arbCv.wait();
+                    e.arbCv.wakeLanded();
+                    e.blockReason = "";
+                    uint64_t completeAt = e.arbResultAt;
+
+                    // Injected DRAM faults: a timeout drops this access's
+                    // completion (and, for reads, the response element)
+                    // forever; a tail spike just stretches the completion.
+                    bool timedOut = false;
+                    if (opt_.fault) {
+                        if (opt_.fault->dramTimeout(u.name, rs.now()))
+                            timedOut = true;
+                        else
+                            completeAt +=
+                                opt_.fault->dramTailLatency(u.name, rs.now());
+                    }
+
+                    if (u.dir == AccessDir::Read) {
+                        Element out = readLanes(e, addrs);
+                        auto &f =
+                            fifos_[u.outputs[u.respOutput].stream.index()];
+                        if (timedOut) {
+                            // The missing element surfaces on the response
+                            // stream, so log the injection under that
+                            // resource too — that is the site the starved
+                            // consumer's wait will name.
+                            opt_.fault->note(fault::FaultKind::DramTimeout,
+                                             f.spec().name, rs.now());
+                        } else {
+                            co_await awaitSpace(e, f, StallCause::Credit,
+                                                "DRAM response space");
+                            f.pushWithDelay(std::move(out),
+                                            completeAt > rs.now()
+                                                ? completeAt - rs.now()
+                                                : 0);
+                        }
+                    } else {
+                        writeLanes(e, addrs);
+                    }
+                    trackOutstanding(e, completeAt, timedOut);
+                }
+            }
+
+            // Wrap level k, then climb while the enclosing loop is done.
+            for (;;) {
+                // A store AG's wrap-level tokens are CMMC acknowledgements:
+                // they must only fire once every issued write has reached
+                // DRAM.
+                if (u.kind == VuKind::Ag && u.dir == AccessDir::Write &&
+                    k < n && !e.outputsAt[k].empty()) {
+                    while (e.outstanding > 0) {
+                        e.parkOn(Engine::WaitKind::DramDrain, -1,
+                                 "DRAM write drain", u.name);
+                        uint64_t blockedAt = rs.now();
+                        e.grantWake = nullptr;
+                        co_await e.agCv.wait();
+                        e.agCv.wakeLanded();
+                        noteWake(e, WakeClass::Dram, e.outstanding > 0);
+                        e.stats.stallCycles[static_cast<int>(
+                            StallCause::DramLatency)] +=
+                            rs.now() - blockedAt;
+                    }
+                    e.unpark();
+                }
+
+                for (int oi : e.outputsAt[k]) {
+                    const auto &ob = u.outputs[oi];
+                    auto &f = fifos_[ob.stream.index()];
+                    co_await awaitSpace(e, f, StallCause::Credit,
+                                        "output space");
+                    if (f.spec().kind == StreamKind::Token) {
+                        f.push(Element{});
+                    } else if (k == n) {
+                        f.push(perFiringElement(e, ob));
+                    } else {
+                        Element one = e.region->pool->acquire(1);
+                        one[0] = combinedOutputValue(e, ob);
+                        f.push(std::move(one));
+                    }
+                }
+
+                for (int bi : e.inputsAt[k]) {
+                    auto &f = fifos_[u.inputs[bi].stream.index()];
+                    // Zero-trip and skipped rounds reach the wrap without
+                    // any firing having awaited round-rate operands; the
+                    // element is owed (rates are balanced) but may still
+                    // be in flight.
+                    co_await awaitNonEmpty(e, f, StallCause::InputData,
+                                           "wrap pop");
+                    f.pop();
+                }
+
+                if (u.kind == VuKind::MemPort && u.rotateLevel == k) {
+                    const auto &vmu = g_.unit(u.memUnit);
+                    e.bufPtr = (e.bufPtr + 1) % vmu.bufferDepth;
+                }
+
+                if (skipped) {
+                    // A read engine skipped at firing granularity still
+                    // owes its consumer one response element per firing
+                    // (the consumer, skipped under the same predicate,
+                    // pops and discards it).
+                    if (k == n && u.respOutput >= 0 &&
+                        u.dir == AccessDir::Read &&
+                        (u.kind == VuKind::MemPort || u.kind == VuKind::Ag)) {
+                        auto &f =
+                            fifos_[u.outputs[u.respOutput].stream.index()];
+                        co_await awaitSpace(e, f, StallCause::Credit,
+                                            "skip response space");
+                        f.push(e.region->pool->acquireZeroed(
+                            static_cast<size_t>(std::max(1, e.activeLanes))));
+                    }
+                    ++e.stats.skips;
+                    e.stats.busyCycles += 1;
+                    e.region->flight->record(telemetry::FlightKind::Skip,
+                                             rs.now(), u.id.v);
+                    if (!opt_.traceFile.empty())
+                        recordFiring(e, rs.now(), 1, true);
+                    e.grantWake = nullptr;
+                    co_await rs.delay(1);
+                } else if (k == n) {
+                    if (e.stats.firings == 0)
+                        e.stats.firstFire = rs.now();
+                    e.stats.lastFire = rs.now();
+                    ++e.stats.firings;
+                    // Lane serialization from bank conflicts is accounted
+                    // as a stall, not useful occupancy: the firing itself
+                    // is one busy cycle.
+                    e.stats.busyCycles += 1;
+                    e.stats.stallCycles[static_cast<int>(
+                        StallCause::BankConflict)] += extraCycles;
+                    e.region->flight->record(
+                        telemetry::FlightKind::Fire, rs.now(), u.id.v,
+                        static_cast<int32_t>(1 + extraCycles));
+                    if (!opt_.traceFile.empty())
+                        recordFiring(e, rs.now(), 1 + extraCycles, false);
+                    e.flops += static_cast<uint64_t>(e.arithLops) *
+                               e.activeLanes;
+                    e.grantWake = nullptr;
+                    co_await rs.delay(1 + extraCycles);
+                }
+
+                if (k == 0) {
+                    done = true;
+                    break;
+                }
+                // Climb: advance the loop at k - 1.
+                --k;
+                skipped = false;
+                bool again = false;
+                if (u.counters[k].isWhile) {
+                    auto &cond =
+                        fifos_[u.inputs[e.whileCondOf[k]].stream.index()];
+                    co_await awaitNonEmpty(e, cond, StallCause::InputData,
+                                           "while condition");
+                    again = cond.front()[0] != 0.0;
+                    cond.pop();
+                    const uint64_t rounds =
+                        static_cast<uint64_t>(e.val[k]) + 1;
+                    if (rounds > opt_.maxWhileRounds)
+                        fatal(u.name, ": do-while exceeded ",
+                              opt_.maxWhileRounds, " rounds");
+                    if (again)
+                        e.val[k] = static_cast<int64_t>(rounds);
+                } else {
+                    const int64_t stepMul =
+                        k == n - 1 ? u.counters[k].vec : 1;
+                    again = enterIteration(
+                        e, k, e.val[k] + e.curStep[k] * stepMul);
+                }
+                if (again) {
+                    ++k;
+                    break;
+                }
+            }
+        }
         e.finished = true;
-        e.stats.doneAt = e.region->sched->now();
+        e.stats.doneAt = rs.now();
     } catch (const std::exception &ex) {
         e.error = ex.what();
         e.finished = false;
     }
 }
 
-Task
-Simulator::runLevel(Engine &e, int k)
+bool
+Simulator::startLoop(Engine &e, int k)
 {
-    const auto &u = *e.u;
-
-    // Resolve dynamic bounds before reading predicates: bound streams
-    // are produced unconditionally relative to this loop.
-    if (k < e.n) {
-        const auto &c = u.counters[k];
-        e.curMin[k] = c.min;
-        e.curStep[k] = c.step;
-        e.curMax[k] = c.max;
-        const std::pair<int, int64_t *> bounds[] = {
-            {c.minInput, &e.curMin[k]},
-            {c.stepInput, &e.curStep[k]},
-            {c.maxInput, &e.curMax[k]}};
-        for (auto [bi, slot] : bounds) {
-            if (bi < 0)
-                continue;
-            auto &f = fifos_[u.inputs[bi].stream.index()];
-            co_await awaitNonEmpty(e, f, StallCause::InputData,
-                                   "loop bound");
-            *slot = std::llround(f.front()[0]);
-        }
-    }
-
-    // Branch predicates conditioning rounds of level k. All are read
-    // (they are produced unconditionally); any mismatch skips the round.
-    bool enabled = true;
-    for (int bi : e.predsAt[k]) {
-        auto &f = fifos_[u.inputs[bi].stream.index()];
-        co_await awaitNonEmpty(e, f, StallCause::InputData,
-                               "branch predicate");
-        bool v = f.front()[0] != 0.0;
-        if (v != u.inputs[bi].expectTrue)
-            enabled = false;
-    }
-    if (!enabled) {
-        co_await skipRound(e, k);
-        co_return;
-    }
-
-    // CMMC gate tokens for this level must be present before the round
-    // may proceed (popped at wrap).
-    for (int bi : e.gatesAt[k]) {
-        auto &f = fifos_[u.inputs[bi].stream.index()];
-        co_await awaitNonEmpty(e, f, StallCause::CmmcToken, "CMMC token");
-    }
-
-    if (k == e.n) {
-        co_await fireOnce(e);
-        co_return;
-    }
-
     // Reduction accumulators over this loop reset at round entry.
-    for (size_t i = 0; i < u.lops.size(); ++i) {
-        const auto &lop = u.lops[i];
-        if (ir::isReduceOp(lop.kind) && lop.counter == k) {
-            for (int l = 0; l < e.vec; ++l)
-                e.redAcc[i * e.vec + l] = reduceIdentity(lop.kind);
-        }
+    const auto &lops = e.u->lops;
+    for (size_t i = 0; i < lops.size(); ++i) {
+        if (ir::isReduceOp(lops[i].kind) && lops[i].counter == k)
+            std::fill_n(&e.redAcc[i * e.vec], e.vec,
+                        reduceIdentity(lops[i].kind));
     }
-
-    const auto &c = u.counters[k];
-    if (c.isWhile) {
-        SARA_ASSERT(e.whileCondOf[k] >= 0,
-                    u.name, ": while counter without condition input");
-        auto &condFifo =
-            fifos_[u.inputs[e.whileCondOf[k]].stream.index()];
-        uint64_t round = 0;
-        while (true) {
-            e.val[k] = static_cast<int64_t>(round);
-            co_await runLevel(e, k + 1);
-            co_await awaitNonEmpty(e, condFifo, StallCause::InputData,
-                                   "while condition");
-            bool cont = condFifo.front()[0] != 0.0;
-            condFifo.pop();
-            if (++round > opt_.maxWhileRounds)
-                fatal(u.name, ": do-while exceeded ", opt_.maxWhileRounds,
-                      " rounds");
-            if (!cont)
-                break;
-        }
-    } else {
-        int64_t stepMul = (k == e.n - 1) ? c.vec : 1;
-        for (int64_t v = e.curMin[k]; v < e.curMax[k];
-             v += e.curStep[k] * stepMul) {
-            e.val[k] = v;
-            if (k == e.n - 1) {
-                int64_t remaining =
-                    (e.curMax[k] - v + e.curStep[k] - 1) / e.curStep[k];
-                e.activeLanes = static_cast<int>(
-                    std::min<int64_t>(c.vec, remaining));
-            }
-            co_await runLevel(e, k + 1);
-        }
+    if (e.u->counters[k].isWhile) {
+        SARA_ASSERT(e.whileCondOf[k] >= 0, e.u->name,
+                    ": while counter without condition input");
+        e.val[k] = 0;
+        return true; // A do-while runs its body at least once.
     }
-
-    co_await wrapActions(e, k);
+    return enterIteration(e, k, e.curMin[k]);
 }
 
-Task
-Simulator::fireOnce(Engine &e)
+bool
+Simulator::enterIteration(Engine &e, int k, int64_t v)
 {
-    const auto &u = *e.u;
-
-    // All operand inputs must be readable (front is read per firing
-    // regardless of pop level).
-    for (int bi : e.operandBindings) {
-        auto &f = fifos_[u.inputs[bi].stream.index()];
-        co_await awaitNonEmpty(e, f, StallCause::InputData, "operand");
+    if (v >= e.curMax[k])
+        return false;
+    e.val[k] = v;
+    if (k == e.n - 1) {
+        int64_t remaining =
+            (e.curMax[k] - v + e.curStep[k] - 1) / e.curStep[k];
+        e.activeLanes = static_cast<int>(
+            std::min<int64_t>(e.u->counters[k].vec, remaining));
     }
-
-    evalLops(e);
-
-    uint64_t extraCycles = 0;
-    if (u.kind == VuKind::MemPort)
-        co_await applyMemPort(e, extraCycles);
-    else if (u.kind == VuKind::Ag)
-        co_await applyAg(e);
-
-    co_await wrapActions(e, e.n);
-
-    Scheduler &rs = *e.region->sched;
-    if (e.stats.firings == 0)
-        e.stats.firstFire = rs.now();
-    e.stats.lastFire = rs.now();
-    ++e.stats.firings;
-    // Lane serialization from bank conflicts is accounted as a stall,
-    // not useful occupancy: the firing itself is one busy cycle.
-    e.stats.busyCycles += 1;
-    e.stats.stallCycles[static_cast<int>(StallCause::BankConflict)] +=
-        extraCycles;
-    e.region->flight->record(telemetry::FlightKind::Fire, rs.now(),
-                             e.u->id.v,
-                             static_cast<int32_t>(1 + extraCycles));
-    if (!opt_.traceFile.empty())
-        recordFiring(e, rs.now(), 1 + extraCycles, false);
-    e.flops += static_cast<uint64_t>(e.arithLops) * e.activeLanes;
-    e.grantWake = nullptr;
-    co_await rs.delay(1 + extraCycles);
-}
-
-Task
-Simulator::skipRound(Engine &e, int k)
-{
-    const auto &u = *e.u;
-    // Wait for this level's gate tokens so forwarding preserves order.
-    for (int bi : e.gatesAt[k]) {
-        auto &f = fifos_[u.inputs[bi].stream.index()];
-        co_await awaitNonEmpty(e, f, StallCause::CmmcToken,
-                               "CMMC token (skip)");
-    }
-    co_await wrapActions(e, k);
-    // A read engine skipped at firing granularity still owes its
-    // consumer one response element per firing (the consumer, skipped
-    // under the same predicate, pops and discards it).
-    if (k == e.n && u.respOutput >= 0 && u.dir == AccessDir::Read &&
-        (u.kind == VuKind::MemPort || u.kind == VuKind::Ag)) {
-        auto &f = fifos_[u.outputs[u.respOutput].stream.index()];
-        co_await awaitSpace(e, f, StallCause::Credit,
-                            "skip response space");
-        f.push(e.region->pool->acquireZeroed(
-            static_cast<size_t>(std::max(1, e.activeLanes))));
-    }
-    Scheduler &rs = *e.region->sched;
-    ++e.stats.skips;
-    e.stats.busyCycles += 1;
-    e.region->flight->record(telemetry::FlightKind::Skip, rs.now(),
-                             e.u->id.v);
-    if (!opt_.traceFile.empty())
-        recordFiring(e, rs.now(), 1, true);
-    e.grantWake = nullptr;
-    co_await rs.delay(1);
-}
-
-Task
-Simulator::wrapActions(Engine &e, int k)
-{
-    const auto &u = *e.u;
-
-    // A store AG's wrap-level tokens are CMMC acknowledgements: they
-    // must only fire once every issued write has reached DRAM.
-    if (u.kind == VuKind::Ag && u.dir == AccessDir::Write && k < e.n &&
-        !e.outputsAt[k].empty()) {
-        while (e.outstanding > 0) {
-            e.parkOn(Engine::WaitKind::DramDrain, -1,
-                     "DRAM write drain", u.name);
-            uint64_t blockedAt = e.region->sched->now();
-            e.grantWake = nullptr;
-            co_await e.agCv.wait();
-            e.agCv.wakeLanded();
-            noteWake(e, WakeClass::Dram, e.outstanding > 0);
-            e.stats.stallCycles[static_cast<int>(
-                StallCause::DramLatency)] +=
-                e.region->sched->now() - blockedAt;
-        }
-        e.unpark();
-    }
-
-    for (int oi : e.outputsAt[k]) {
-        const auto &ob = u.outputs[oi];
-        auto &f = fifos_[ob.stream.index()];
-        co_await awaitSpace(e, f, StallCause::Credit, "output space");
-        if (f.spec().kind == StreamKind::Token) {
-            f.push(Element{});
-        } else if (k == e.n) {
-            f.push(perFiringElement(e, ob));
-        } else {
-            Element one = e.region->pool->acquire(1);
-            one[0] = combinedOutputValue(e, ob);
-            f.push(std::move(one));
-        }
-    }
-
-    for (int bi : e.inputsAt[k]) {
-        auto &f = fifos_[u.inputs[bi].stream.index()];
-        // Zero-trip and skipped rounds reach the wrap without any
-        // firing having awaited round-rate operands; the element is
-        // owed (rates are balanced) but may still be in flight.
-        co_await awaitNonEmpty(e, f, StallCause::InputData, "wrap pop");
-        f.pop();
-    }
-
-    if (u.kind == VuKind::MemPort && u.rotateLevel == k) {
-        const auto &vmu = g_.unit(u.memUnit);
-        e.bufPtr = (e.bufPtr + 1) % vmu.bufferDepth;
-    }
+    return true;
 }
 
 // ---------------------------------------------------------------------------
 // Datapath evaluation and memory application
 // ---------------------------------------------------------------------------
+
+void
+Simulator::laneAddrs(const Engine &e, int64_t *addrs) const
+{
+    const auto &u = *e.u;
+    const int lanes = e.activeLanes;
+    SARA_ASSERT(lanes <= kMaxLanes, "lane count too large");
+    if (u.addrLop >= 0) {
+        for (int l = 0; l < lanes; ++l)
+            addrs[l] = std::llround(e.lv[u.addrLop * e.vec + l]);
+    } else {
+        const auto &elem =
+            fifos_[u.inputs[u.addrInput].stream.index()].front();
+        for (int l = 0; l < lanes; ++l)
+            addrs[l] = std::llround(elem.size() == 1 ? elem[0] : elem[l]);
+    }
+}
+
+double &
+Simulator::memWord(Engine &e, int64_t addr, bool write)
+{
+    const auto &u = *e.u;
+    if (u.kind == VuKind::Ag) {
+        auto &data = dramData_[u.tensor.index()];
+        SARA_ASSERT(addr >= 0 && addr < static_cast<int64_t>(data.size()),
+                    u.name, write ? ": DRAM write OOB addr "
+                                  : ": DRAM read OOB addr ",
+                    addr);
+        return data[addr];
+    }
+    MemGroup &grp = *e.group;
+    auto [shard, offset] = locate(grp, addr);
+    if (!u.dynamicBank)
+        SARA_ASSERT(static_cast<int>(shard) == u.shardIndex, u.name,
+                    ": static port touched shard ", shard, " (expected ",
+                    u.shardIndex, ") addr ", addr);
+    auto &ss = grp.state[shard];
+    const auto &vmu = g_.unit(grp.shards[shard]);
+    int buf = e.bufPtr % vmu.bufferDepth;
+    SARA_ASSERT(offset >= 0 && offset < vmu.bufferSize, u.name,
+                ": shard offset OOB ", offset);
+    if (write)
+        ss.lastWriteBuf = buf;
+    return ss.buffers[buf][offset];
+}
+
+Element
+Simulator::readLanes(Engine &e, const int64_t *addrs)
+{
+    const auto &u = *e.u;
+    SARA_ASSERT(u.respOutput >= 0, u.name, ": read w/o response output");
+    const int lanes = e.activeLanes;
+    Element out = e.region->pool->acquire(static_cast<size_t>(lanes));
+    for (int l = 0; l < lanes; ++l)
+        out[l] = memWord(e, addrs[l], false);
+    return out;
+}
+
+void
+Simulator::writeLanes(Engine &e, const int64_t *addrs)
+{
+    const auto &u = *e.u;
+    SARA_ASSERT(u.dataInput >= 0, u.name, ": write w/o data input");
+    const auto &data = fifos_[u.inputs[u.dataInput].stream.index()].front();
+    for (int l = 0; l < e.activeLanes; ++l)
+        memWord(e, addrs[l], true) = data.size() == 1 ? data[0] : data[l];
+}
+
+void
+Simulator::stageBursts(Engine &e, const int64_t *addrs)
+{
+    const uint64_t tensorBase = static_cast<uint64_t>(e.u->tensor.index())
+                                << 24; // Distinct regions.
+    const int lanes = e.activeLanes;
+    e.stagedBursts.clear();
+    int runStart = 0;
+    for (int l = 1; l <= lanes; ++l) {
+        if (l == lanes || addrs[l] != addrs[l - 1] + 1) {
+            uint32_t bytes = static_cast<uint32_t>(l - runStart) * 4;
+            e.stagedBursts.emplace_back(
+                tensorBase + static_cast<uint64_t>(addrs[runStart]) * 4,
+                bytes);
+            e.stats.bytesMoved += bytes;
+            runStart = l;
+        }
+    }
+}
+
+void
+Simulator::trackOutstanding(Engine &e, uint64_t completeAt, bool timedOut)
+{
+    // A timed-out access never completes: its outstanding slot leaks,
+    // eventually wedging the window or the write drain — exactly the
+    // hang a lost DRAM response causes in hardware.
+    Scheduler &rs = *e.region->sched;
+    ++e.outstanding;
+    ++dramOutstanding_;
+    if (!timedOut) {
+        rs.scheduleFnAt(
+            [](void *arg) {
+                auto *eng = static_cast<Engine *>(arg);
+                --eng->outstanding;
+                --eng->sim->dramOutstanding_;
+                eng->sim->sampleDram();
+                // The AG engine is the CV's only possible waiter. A
+                // drain waiter (wants outstanding == 0) would treat
+                // every intermediate completion as spurious, so
+                // targeted mode notifies it only on the last one; a
+                // window waiter is unblocked by any completion.
+                if (!eng->agCv.hasWaiters())
+                    return;
+                if (!eng->sim->opt_.targetedWakeups ||
+                    eng->waitKind != Engine::WaitKind::DramDrain ||
+                    eng->outstanding == 0)
+                    eng->agCv.notifyOne();
+            },
+            &e, std::max(completeAt, rs.now()));
+    }
+    sampleDram();
+}
 
 void
 Simulator::evalLops(Engine &e)
@@ -852,7 +1140,9 @@ Simulator::evalLops(Engine &e)
     const auto &u = *e.u;
     const int vec = e.vec;
     const int lanes = e.activeLanes;
-    double args[3];
+    auto lanesOf = [&](int lop) {
+        return lop >= 0 ? &e.lv[lop * vec] : e.zeros.data();
+    };
 
     for (size_t i = 0; i < u.lops.size(); ++i) {
         const auto &lop = u.lops[i];
@@ -902,12 +1192,8 @@ Simulator::evalLops(Engine &e)
             break;
           }
           default:
-            for (int l = 0; l < lanes; ++l) {
-                args[0] = lop.a >= 0 ? e.lv[lop.a * vec + l] : 0.0;
-                args[1] = lop.b >= 0 ? e.lv[lop.b * vec + l] : 0.0;
-                args[2] = lop.c >= 0 ? e.lv[lop.c * vec + l] : 0.0;
-                out[l] = ir::evalScalar(lop.kind, args);
-            }
+            ir::evalLanes(lop.kind, lanesOf(lop.a), lanesOf(lop.b),
+                          lanesOf(lop.c), out, lanes);
             break;
         }
     }
@@ -937,264 +1223,6 @@ Simulator::perFiringElement(Engine &e, const dfg::OutputBinding &ob)
     for (int l = 0; l < e.activeLanes; ++l)
         elem[l] = e.lv[ob.lop * e.vec + l];
     return elem;
-}
-
-Task
-Simulator::applyMemPort(Engine &e, uint64_t &extraCycles)
-{
-    const auto &u = *e.u;
-    auto it = groups_.find(u.tensor.v);
-    SARA_ASSERT(it != groups_.end(), u.name, ": no memory group");
-    MemGroup &grp = it->second;
-    const int lanes = e.activeLanes;
-    // Every port firing moves one element per active lane.
-    e.stats.bytesMoved += static_cast<uint64_t>(lanes) * 4;
-
-    // Address lanes come from the local datapath or an input stream.
-    int64_t addrs[64];
-    SARA_ASSERT(lanes <= 64, "lane count too large");
-    if (u.addrLop >= 0) {
-        for (int l = 0; l < lanes; ++l)
-            addrs[l] = std::llround(e.lv[u.addrLop * e.vec + l]);
-    } else {
-        const auto &elem =
-            fifos_[u.inputs[u.addrInput].stream.index()].front();
-        for (int l = 0; l < lanes; ++l)
-            addrs[l] = std::llround(elem.size() == 1 ? elem[0] : elem[l]);
-    }
-
-    // Timing: vector accesses with unit stride are conflict-free;
-    // otherwise lanes colliding on a bank (static sharding) or a shard
-    // (dynamic banking) serialize.
-    const auto &pmuBanks = 16; // Matches arch::PmuSpec::banks.
-    bool contiguous = true;
-    for (int l = 1; l < lanes; ++l)
-        if (addrs[l] != addrs[l - 1] + 1)
-            contiguous = false;
-    if (!contiguous && lanes > 1) {
-        int counts[64] = {0};
-        int maxCount = 1;
-        for (int l = 0; l < lanes; ++l) {
-            int bank = static_cast<int>(
-                ((addrs[l] % pmuBanks) + pmuBanks) % pmuBanks);
-            maxCount = std::max(maxCount, ++counts[bank]);
-        }
-        extraCycles = static_cast<uint64_t>(maxCount - 1);
-    }
-
-    // Port-bus contention: a PMU applies one read and one write vector
-    // per cycle (static ports only; dynamic groups pay conflicts).
-    // Same-cycle requests from sibling ports are granted by the
-    // end-of-cycle arbiter in unit-id order — a deterministic hardware
-    // arbiter — so the grant sequence is independent of the host event
-    // interleave (the property the region-parallel core relies on).
-    if (!u.dynamicBank) {
-        Scheduler &rs = *e.region->sched;
-        auto &ss = grp.state[u.shardIndex];
-        e.busSlot = (u.dir == AccessDir::Read) ? &ss.readBusFree
-                                               : &ss.writeBusFree;
-        e.busExtra = extraCycles;
-        e.blockReason = "PMU bus";
-        e.blockDetail = u.name;
-        e.grantWake = nullptr;
-        uint64_t blockedAt = rs.now();
-        e.region->arbBus.push_back(&e);
-        armArbiter(*e.region);
-        co_await e.arbCv.wait();
-        e.arbCv.wakeLanded();
-        if (e.arbResultAt > rs.now())
-            co_await rs.delay(e.arbResultAt - rs.now());
-        e.stats.stallCycles[static_cast<int>(StallCause::BusContention)] +=
-            rs.now() - blockedAt;
-        e.blockReason = "";
-    }
-
-    if (u.dir == AccessDir::Read) {
-        Element out =
-            e.region->pool->acquire(static_cast<size_t>(lanes));
-        for (int l = 0; l < lanes; ++l) {
-            auto [shard, offset] = locate(grp, addrs[l]);
-            if (!u.dynamicBank)
-                SARA_ASSERT(static_cast<int>(shard) == u.shardIndex,
-                            u.name, ": static port touched shard ", shard,
-                            " (expected ", u.shardIndex, ") addr ",
-                            addrs[l]);
-            auto &ss = grp.state[shard];
-            const auto &vmu = g_.unit(grp.shards[shard]);
-            int buf = e.bufPtr % vmu.bufferDepth;
-            SARA_ASSERT(offset >= 0 && offset < vmu.bufferSize,
-                        u.name, ": shard offset OOB ", offset);
-            out[l] = ss.buffers[buf][offset];
-        }
-        SARA_ASSERT(u.respOutput >= 0, u.name, ": read port w/o output");
-        auto &f = fifos_[u.outputs[u.respOutput].stream.index()];
-        co_await awaitSpace(e, f, StallCause::Credit,
-                            "read response space");
-        f.push(std::move(out));
-    } else {
-        SARA_ASSERT(u.dataInput >= 0, u.name, ": write port w/o data");
-        const auto &data =
-            fifos_[u.inputs[u.dataInput].stream.index()].front();
-        for (int l = 0; l < lanes; ++l) {
-            auto [shard, offset] = locate(grp, addrs[l]);
-            if (!u.dynamicBank)
-                SARA_ASSERT(static_cast<int>(shard) == u.shardIndex,
-                            u.name, ": static port touched shard ", shard,
-                            " (expected ", u.shardIndex, ") addr ",
-                            addrs[l]);
-            auto &ss = grp.state[shard];
-            const auto &vmu = g_.unit(grp.shards[shard]);
-            int buf = e.bufPtr % vmu.bufferDepth;
-            SARA_ASSERT(offset >= 0 && offset < vmu.bufferSize,
-                        u.name, ": shard offset OOB ", offset);
-            ss.buffers[buf][offset] =
-                data.size() == 1 ? data[0] : data[l];
-            ss.lastWriteBuf = buf;
-        }
-    }
-}
-
-Task
-Simulator::applyAg(Engine &e)
-{
-    const auto &u = *e.u;
-    Scheduler &rs = *e.region->sched;
-    while (e.outstanding >= opt_.agOutstanding) {
-        e.parkOn(Engine::WaitKind::DramWindow, -1,
-                 "DRAM outstanding limit", u.name);
-        uint64_t blockedAt = rs.now();
-        e.grantWake = nullptr;
-        co_await e.agCv.wait();
-        e.agCv.wakeLanded();
-        noteWake(e, WakeClass::Dram,
-                 e.outstanding >= opt_.agOutstanding);
-        e.stats.stallCycles[static_cast<int>(StallCause::DramLatency)] +=
-            rs.now() - blockedAt;
-    }
-    e.unpark();
-
-    const int lanes = e.activeLanes;
-    int64_t addrs[64];
-    SARA_ASSERT(lanes <= 64, "lane count too large");
-    if (u.addrLop >= 0) {
-        for (int l = 0; l < lanes; ++l)
-            addrs[l] = std::llround(e.lv[u.addrLop * e.vec + l]);
-    } else {
-        const auto &elem =
-            fifos_[u.inputs[u.addrInput].stream.index()].front();
-        for (int l = 0; l < lanes; ++l)
-            addrs[l] = std::llround(elem.size() == 1 ? elem[0] : elem[l]);
-    }
-
-    auto &data = dramData_[u.tensor.index()];
-    const uint64_t tensorBase =
-        static_cast<uint64_t>(u.tensor.index()) << 24; // Distinct regions.
-
-    // Coalesce consecutive addresses into bursts, then hand them to
-    // the end-of-cycle DRAM arbiter: same-cycle accesses from
-    // different AGs hit the channel model in unit-id order regardless
-    // of the host event interleave. The engine suspends and resumes
-    // within the same cycle, so timing matches an AG that issued its
-    // request combinationally and got the arbitrated completion back.
-    e.stagedBursts.clear();
-    int runStart = 0;
-    for (int l = 1; l <= lanes; ++l) {
-        if (l == lanes || addrs[l] != addrs[l - 1] + 1) {
-            uint32_t bytes = static_cast<uint32_t>(l - runStart) * 4;
-            e.stagedBursts.emplace_back(
-                tensorBase + static_cast<uint64_t>(addrs[runStart]) * 4,
-                bytes);
-            e.stats.bytesMoved += bytes;
-            runStart = l;
-        }
-    }
-    e.blockReason = "DRAM arbitration";
-    e.blockDetail = u.name;
-    e.grantWake = nullptr;
-    e.region->arbDram.push_back(&e);
-    armArbiter(*e.region);
-    co_await e.arbCv.wait();
-    e.arbCv.wakeLanded();
-    e.blockReason = "";
-    uint64_t maxComplete = e.arbResultAt;
-
-    // Injected DRAM faults: a timeout drops this access's completion
-    // (and, for reads, the response element) forever; a tail spike
-    // just stretches the completion time.
-    bool timedOut = false;
-    if (opt_.fault) {
-        if (opt_.fault->dramTimeout(u.name, rs.now()))
-            timedOut = true;
-        else
-            maxComplete +=
-                opt_.fault->dramTailLatency(u.name, rs.now());
-    }
-
-    if (u.dir == AccessDir::Read) {
-        Element out =
-            e.region->pool->acquire(static_cast<size_t>(lanes));
-        for (int l = 0; l < lanes; ++l) {
-            SARA_ASSERT(addrs[l] >= 0 &&
-                            addrs[l] < static_cast<int64_t>(data.size()),
-                        u.name, ": DRAM read OOB addr ", addrs[l]);
-            out[l] = data[addrs[l]];
-        }
-        SARA_ASSERT(u.respOutput >= 0, u.name, ": load AG w/o output");
-        auto &f = fifos_[u.outputs[u.respOutput].stream.index()];
-        if (timedOut) {
-            // The missing element surfaces on the response stream, so
-            // log the injection under that resource too — that is the
-            // site the starved consumer's wait will name.
-            opt_.fault->note(fault::FaultKind::DramTimeout,
-                             f.spec().name, rs.now());
-        } else {
-            co_await awaitSpace(e, f, StallCause::Credit,
-                                "DRAM response space");
-            uint64_t extra = maxComplete > rs.now()
-                                 ? maxComplete - rs.now()
-                                 : 0;
-            f.pushWithDelay(std::move(out), extra);
-        }
-    } else {
-        SARA_ASSERT(u.dataInput >= 0, u.name, ": store AG w/o data");
-        const auto &elem =
-            fifos_[u.inputs[u.dataInput].stream.index()].front();
-        for (int l = 0; l < lanes; ++l) {
-            SARA_ASSERT(addrs[l] >= 0 &&
-                            addrs[l] < static_cast<int64_t>(data.size()),
-                        u.name, ": DRAM write OOB addr ", addrs[l]);
-            data[addrs[l]] = elem.size() == 1 ? elem[0] : elem[l];
-        }
-    }
-
-    // Track completion for the outstanding window / write drain. A
-    // timed-out access never completes: its outstanding slot leaks,
-    // eventually wedging the window or the write drain — exactly the
-    // hang a lost DRAM response causes in hardware.
-    ++e.outstanding;
-    ++dramOutstanding_;
-    if (!timedOut) {
-        rs.scheduleFnAt(
-            [](void *arg) {
-                auto *eng = static_cast<Engine *>(arg);
-                --eng->outstanding;
-                --eng->sim->dramOutstanding_;
-                eng->sim->sampleDram();
-                // The AG engine is the CV's only possible waiter. A
-                // drain waiter (wants outstanding == 0) would treat
-                // every intermediate completion as spurious, so
-                // targeted mode notifies it only on the last one; a
-                // window waiter is unblocked by any completion.
-                if (!eng->agCv.hasWaiters())
-                    return;
-                if (!eng->sim->opt_.targetedWakeups ||
-                    eng->waitKind != Engine::WaitKind::DramDrain ||
-                    eng->outstanding == 0)
-                    eng->agCv.notifyOne();
-            },
-            &e, std::max(maxComplete, rs.now()));
-    }
-    sampleDram();
 }
 
 void

@@ -280,12 +280,12 @@ class Simulator
     struct DataWait;
     struct SpaceWait;
 
-    // Engine coroutines.
+    /**
+     * The engine coroutine: one frame per engine for the whole run. It
+     * walks the counter chain with an explicit level index; every wait
+     * is an awaiter over this frame, so a firing allocates no frame.
+     */
     Task runUnit(Engine &e);
-    Task runLevel(Engine &e, int k);
-    Task fireOnce(Engine &e);
-    Task wrapActions(Engine &e, int k);
-    Task skipRound(Engine &e, int k);
     /** Awaitable: the stream has a readable element. */
     DataWait awaitNonEmpty(Engine &e, FifoState &f, StallCause cause,
                            const char *why);
@@ -294,12 +294,31 @@ class Simulator
     SpaceWait awaitSpace(Engine &e, FifoState &f, StallCause cause,
                          const char *why);
 
-    // Firing helpers.
+    // Firing work between the coroutine's awaits (plain functions).
     void evalLops(Engine &e);
-    Task applyMemPort(Engine &e, uint64_t &extraCycles);
-    Task applyAg(Engine &e);
     double combinedOutputValue(Engine &e, const dfg::OutputBinding &ob);
     Element perFiringElement(Engine &e, const dfg::OutputBinding &ob);
+    /** Reset the level-k reductions and start the loop at level k;
+     *  false when it has no first iteration. */
+    bool startLoop(Engine &e, int k);
+    /** Enter iteration `v` of the counted loop at level k; false once
+     *  the loop is done. */
+    bool enterIteration(Engine &e, int k, int64_t v);
+    /** Address lanes from the local datapath or the address stream. */
+    void laneAddrs(const Engine &e, int64_t *addrs) const;
+    /** The word a lane addresses: an AG's DRAM word, or a PMU port's
+     *  word in its current multibuffer copy (a write marks that copy
+     *  as the shard's latest). */
+    double &memWord(Engine &e, int64_t addr, bool write);
+    /** Gather the response lanes of a PMU-port or AG read. */
+    Element readLanes(Engine &e, const int64_t *addrs);
+    /** Scatter the data-input lanes of a PMU-port or AG write. */
+    void writeLanes(Engine &e, const int64_t *addrs);
+    /** Coalesce AG lanes into DRAM bursts for the end-of-cycle arbiter. */
+    void stageBursts(Engine &e, const int64_t *addrs);
+    /** Count an issued DRAM access against the AG's outstanding window
+     *  and schedule its completion (never, when it timed out). */
+    void trackOutstanding(Engine &e, uint64_t completeAt, bool timedOut);
 
     // Memory addressing.
     std::pair<size_t, int64_t> locate(const MemGroup &g,

@@ -4,16 +4,16 @@
 /**
  * @file
  * Minimal coroutine runtime for the discrete-event simulator. Each
- * virtual unit executes as a Task coroutine. A wait on a condition
- * takes one of two forms, and either form may see spurious wakeups:
+ * virtual unit executes as one Task coroutine for the whole run, so a
+ * run allocates one frame per unit. A wait on a condition takes one of
+ * two forms, and either form may see spurious wakeups:
  *   - a coroutine parks itself on a CondVar and re-checks in a loop
  *     (`while (!cond) co_await cv.wait()`);
  *   - an awaiter struct checks the condition inline in await_ready()
  *     and, only when blocked, parks a callback (`cv.park(fn, arg)`)
  *     that re-checks on every wake and resumes the coroutine itself
  *     once the condition holds. The simulator's stream waits use this
- *     form, so a wait that is already satisfied costs no frame.
- * Task frames come from a thread-local free list (FrameCache).
+ *     form, so a wait that is already satisfied does not suspend.
  */
 
 #include <algorithm>
@@ -22,8 +22,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
-#include <new>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -34,111 +32,16 @@
 namespace sara::sim {
 
 /**
- * Thread-local recycler for Task coroutine frames, bucketed into
- * 64-byte size classes. The fire path creates and destroys a few
- * frames of the same sizes per firing (runLevel, fireOnce,
- * wrapActions, ...), so after warm-up every frame comes off a free
- * list. The lists are per thread, not per simulator: region-parallel
- * runs create and free frames on several threads at once. Frames
- * larger than the biggest class go straight to the global heap.
- */
-class FrameCache
-{
-  public:
-    FrameCache() = default;
-    FrameCache(const FrameCache &) = delete;
-    FrameCache &operator=(const FrameCache &) = delete;
-
-    static void *
-    allocate(std::size_t n)
-    {
-        std::size_t c = sizeClass(n);
-        if (c >= kClasses)
-            return ::operator new(n);
-        FrameCache &fc = local();
-        if (Block *b = fc.free_[c]) {
-            fc.free_[c] = b->next;
-            --fc.count_[c];
-            return b;
-        }
-        return ::operator new((c + 1) * kGranule);
-    }
-
-    static void
-    release(void *p, std::size_t n) noexcept
-    {
-        std::size_t c = sizeClass(n);
-        FrameCache &fc = local();
-        if (c >= kClasses || fc.count_[c] >= kMaxFree) {
-            ::operator delete(p);
-            return;
-        }
-        auto *b = static_cast<Block *>(p);
-        b->next = fc.free_[c];
-        fc.free_[c] = b;
-        ++fc.count_[c];
-    }
-
-    ~FrameCache()
-    {
-        for (std::size_t c = 0; c < kClasses; ++c) {
-            while (Block *b = free_[c]) {
-                free_[c] = b->next;
-                ::operator delete(b);
-            }
-            count_[c] = kMaxFree; // Later releases bypass the list.
-        }
-    }
-
-  private:
-    struct Block
-    {
-        Block *next;
-    };
-    static constexpr std::size_t kGranule = 64;
-    static constexpr std::size_t kClasses = 32; ///< Frames up to 2 KiB.
-    static constexpr std::size_t kMaxFree = 1024; ///< Per class.
-
-    static std::size_t
-    sizeClass(std::size_t n)
-    {
-        return (n - 1) / kGranule;
-    }
-
-    static FrameCache &
-    local()
-    {
-        static thread_local FrameCache fc;
-        return fc;
-    }
-
-    std::array<Block *, kClasses> free_{};
-    std::array<std::size_t, kClasses> count_{};
-};
-
-/**
- * A coroutine task supporting nested co_await of child tasks
- * (symmetric transfer back to the parent at completion).
+ * A coroutine task. It starts suspended (the scheduler resumes it) and
+ * stays suspended at its end, so done() can be queried until the Task
+ * destroys the frame. An exception escaping the body propagates to
+ * whoever resumed the coroutine.
  */
 class Task
 {
   public:
     struct promise_type
     {
-        std::coroutine_handle<> continuation;
-        std::exception_ptr exception;
-
-        static void *
-        operator new(std::size_t n)
-        {
-            return FrameCache::allocate(n);
-        }
-        static void
-        operator delete(void *p, std::size_t n) noexcept
-        {
-            FrameCache::release(p, n);
-        }
-
         Task
         get_return_object()
         {
@@ -146,25 +49,9 @@ class Task
                 std::coroutine_handle<promise_type>::from_promise(*this));
         }
         std::suspend_always initial_suspend() noexcept { return {}; }
-
-        struct FinalAwaiter
-        {
-            bool await_ready() noexcept { return false; }
-            std::coroutine_handle<>
-            await_suspend(std::coroutine_handle<promise_type> h) noexcept
-            {
-                auto cont = h.promise().continuation;
-                return cont ? cont : std::noop_coroutine();
-            }
-            void await_resume() noexcept {}
-        };
-        FinalAwaiter final_suspend() noexcept { return {}; }
+        std::suspend_always final_suspend() noexcept { return {}; }
         void return_void() {}
-        void
-        unhandled_exception()
-        {
-            exception = std::current_exception();
-        }
+        void unhandled_exception() { throw; }
     };
 
     Task() = default;
@@ -186,34 +73,6 @@ class Task
     bool valid() const { return static_cast<bool>(h_); }
     bool done() const { return !h_ || h_.done(); }
     std::coroutine_handle<promise_type> handle() const { return h_; }
-
-    /** Rethrow an exception captured inside the coroutine, if any. */
-    void
-    rethrowIfFailed() const
-    {
-        if (h_ && h_.promise().exception)
-            std::rethrow_exception(h_.promise().exception);
-    }
-
-    /** Awaiter used when a parent task co_awaits a child task. */
-    struct ChildAwaiter
-    {
-        std::coroutine_handle<promise_type> child;
-        bool await_ready() const noexcept { return !child || child.done(); }
-        std::coroutine_handle<>
-        await_suspend(std::coroutine_handle<> parent) noexcept
-        {
-            child.promise().continuation = parent;
-            return child;
-        }
-        void
-        await_resume()
-        {
-            if (child.promise().exception)
-                std::rethrow_exception(child.promise().exception);
-        }
-    };
-    ChildAwaiter operator co_await() const { return ChildAwaiter{h_}; }
 
   private:
     void

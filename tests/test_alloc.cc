@@ -2,10 +2,13 @@
  * @file
  * Allocation gate for the simulator's fire path. This binary replaces
  * the global operator new with a counting one (test-only: src/ defines
- * no allocation operators). Each case warms the thread's coroutine
- * frame lists with one simulation, then counts every heap allocation
- * made inside a second Simulator::run() — coroutine frames, NoC flits,
- * FIFO elements and scheduler storage alike — and bounds it per firing.
+ * no allocation operators). Each case runs one simulation first, then
+ * counts every heap allocation made inside a second Simulator::run() —
+ * coroutine frames, NoC flits, FIFO elements and scheduler storage
+ * alike — and bounds it per firing. Each engine runs as one coroutine
+ * frame allocated from the heap, so a frame per firing would read at
+ * least one allocation per firing: the gate also pins the one-frame
+ * structure.
  */
 
 #include <gtest/gtest.h>
@@ -54,18 +57,21 @@ struct AllocCase
     std::string workload;
     int par;
     bool noc;
+    bool ddr3 = false;
 };
 
 void
 PrintTo(const AllocCase &c, std::ostream *os)
 {
-    *os << c.workload << " par " << c.par << (c.noc ? " noc" : " fixed");
+    *os << c.workload << " par " << c.par << (c.ddr3 ? " ddr3" : "")
+        << (c.noc ? " noc" : " fixed");
 }
 
 std::string
 caseName(const testing::TestParamInfo<AllocCase> &info)
 {
     return info.param.workload + "_par" + std::to_string(info.param.par) +
+           (info.param.ddr3 ? "_ddr3" : "") +
            (info.param.noc ? "_noc" : "_fixed");
 }
 
@@ -89,7 +95,9 @@ TEST_P(FirePathAllocs, WarmRunAllocatesUnderHalfPerFiring)
     so.noc.minLatency = copt.spec.net.minLatency;
     auto simulate = [&](uint64_t *allocs) {
         sim::Simulator s(compiled.program, compiled.lowering.graph,
-                         dram::DramSpec::hbm2(), so);
+                         c.ddr3 ? dram::DramSpec::ddr3()
+                                : dram::DramSpec::hbm2(),
+                         so);
         for (const auto &[tid, data] : w.dramInputs)
             s.setDramTensor(ir::TensorId(tid), data);
         uint64_t before = g_allocs.load(std::memory_order_relaxed);
@@ -114,7 +122,8 @@ TEST_P(FirePathAllocs, WarmRunAllocatesUnderHalfPerFiring)
 INSTANTIATE_TEST_SUITE_P(
     SimSteady, FirePathAllocs,
     testing::Values(AllocCase{"mlp", 8, false}, AllocCase{"mlp", 8, true},
-                    AllocCase{"pr", 8, true}),
+                    AllocCase{"pr", 8, true}, AllocCase{"lstm", 8, false},
+                    AllocCase{"rf", 16, false, /*ddr3=*/true}),
     caseName);
 
 } // namespace

@@ -59,10 +59,12 @@ graphOptions()
 /** Compile a lowered model and check sim-vs-interpreter equality in
  *  the requested timing mode (the CMMC correctness oracle). */
 void
-verifyModel(const graph::LayerGraph &g, int par, bool useNoc)
+verifyModel(const graph::LayerGraph &g, int par, bool useNoc,
+            int scale = 1)
 {
     graph::LowerOptions o;
     o.par = par;
+    o.scale = scale;
     graph::LowerResult lowered = graph::lowerGraph(g, o);
     const workloads::Workload &w = lowered.workload;
     auto r = compiler::compile(w.program, graphOptions());
@@ -260,6 +262,17 @@ TEST(GraphFrontend, ResnetBlockVerifiesFixedAndNoc)
 {
     verifyModel(graph::resnetBlockGraph(), 16, false);
     verifyModel(graph::resnetBlockGraph(), 16, true);
+}
+
+TEST(GraphFrontend, AllModelsVerifyAtScaleTwo)
+{
+    // Scale grows a conv input's height, not its channels, so the conv
+    // output still matches resnet_block's skip input.
+    for (const auto &g : {graph::mlpGraph(), graph::transformerCellGraph(),
+                          graph::resnetBlockGraph()}) {
+        verifyModel(g, 16, /*useNoc=*/false, /*scale=*/2);
+        verifyModel(g, 16, /*useNoc=*/true, /*scale=*/2);
+    }
 }
 
 // --- Determinism -----------------------------------------------------------

@@ -1,11 +1,19 @@
 /**
  * @file
  * IR unit tests: builder structure, sequential interpreter semantics,
- * affine analysis, subtree cloning, and the unroll pass (including
- * pre/post-unroll semantic equivalence).
+ * affine analysis, subtree cloning, the unroll pass (including
+ * pre/post-unroll semantic equivalence), and the lane kernels of scalar
+ * op evaluation against their per-scalar reference.
  */
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <array>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "compiler/unroll.h"
 #include "ir/affine.h"
@@ -331,6 +339,145 @@ TEST(ProgramOrder, ThenBeforeElse)
             eBlk = n.id;
     });
     EXPECT_LT(order[tBlk.index()], order[eBlk.index()]);
+}
+
+// --- Lane kernels -----------------------------------------------------------
+
+/** The per-scalar op switch that evalLanes replaced, kept as the
+ *  oracle for the lane kernels. One edit: C leaves fmin/fmax of +0 and
+ *  -0 unspecified, and the compiled switch returned the first operand,
+ *  so the oracle pins that tie. */
+double
+referenceScalar(OpKind kind, const double *args)
+{
+    switch (kind) {
+      case OpKind::Neg: return -args[0];
+      case OpKind::Abs: return std::fabs(args[0]);
+      case OpKind::Exp: return std::exp(args[0]);
+      case OpKind::Log: return std::log(args[0]);
+      case OpKind::Sqrt: return std::sqrt(args[0]);
+      case OpKind::Sigmoid: return 1.0 / (1.0 + std::exp(-args[0]));
+      case OpKind::Tanh: return std::tanh(args[0]);
+      case OpKind::Relu: return args[0] > 0.0 ? args[0] : 0.0;
+      case OpKind::Floor: return std::floor(args[0]);
+      case OpKind::Not: return args[0] == 0.0 ? 1.0 : 0.0;
+      case OpKind::Add: return args[0] + args[1];
+      case OpKind::Sub: return args[0] - args[1];
+      case OpKind::Mul: return args[0] * args[1];
+      case OpKind::Div: return args[0] / args[1];
+      case OpKind::Min:
+        return args[0] == args[1] ? args[0] : std::fmin(args[0], args[1]);
+      case OpKind::Max:
+        return args[0] == args[1] ? args[0] : std::fmax(args[0], args[1]);
+      case OpKind::Mod: return std::fmod(args[0], args[1]);
+      case OpKind::And:
+        return (args[0] != 0.0 && args[1] != 0.0) ? 1.0 : 0.0;
+      case OpKind::Or:
+        return (args[0] != 0.0 || args[1] != 0.0) ? 1.0 : 0.0;
+      case OpKind::CmpLt: return args[0] < args[1] ? 1.0 : 0.0;
+      case OpKind::CmpLe: return args[0] <= args[1] ? 1.0 : 0.0;
+      case OpKind::CmpEq: return args[0] == args[1] ? 1.0 : 0.0;
+      case OpKind::CmpNe: return args[0] != args[1] ? 1.0 : 0.0;
+      case OpKind::CmpGt: return args[0] > args[1] ? 1.0 : 0.0;
+      case OpKind::CmpGe: return args[0] >= args[1] ? 1.0 : 0.0;
+      case OpKind::Select: return args[0] != 0.0 ? args[1] : args[2];
+      case OpKind::Mac: return args[0] * args[1] + args[2];
+      default:
+        panic("referenceScalar: op ", opName(kind), " is not scalar");
+    }
+}
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+const OpKind kScalarKinds[] = {
+    OpKind::Neg,   OpKind::Abs,   OpKind::Exp,    OpKind::Log,
+    OpKind::Sqrt,  OpKind::Sigmoid, OpKind::Tanh, OpKind::Relu,
+    OpKind::Floor, OpKind::Not,   OpKind::Add,    OpKind::Sub,
+    OpKind::Mul,   OpKind::Div,   OpKind::Min,    OpKind::Max,
+    OpKind::Mod,   OpKind::And,   OpKind::Or,     OpKind::CmpLt,
+    OpKind::CmpLe, OpKind::CmpEq, OpKind::CmpNe,  OpKind::CmpGt,
+    OpKind::CmpGe, OpKind::Select, OpKind::Mac};
+
+TEST(EvalLanes, MatchesScalarReferenceBitForBit)
+{
+    using L = std::numeric_limits<double>;
+    // Signed zeros, infinities, NaN, subnormals, negative Mod operands,
+    // and Mac triples whose fused multiply-add rounds differently.
+    const double tiny = 1.0 + std::ldexp(1.0, -30);
+    const std::vector<double> values = {
+        0.0, -0.0, L::infinity(), -L::infinity(), L::quiet_NaN(),
+        L::denorm_min(), -L::denorm_min(), L::min() / 4, 1.5, -2.5, 3.0,
+        -7.0, 0.1, 1e308, tiny, -(1.0 + std::ldexp(1.0, -29))};
+    std::vector<std::array<double, 3>> triples;
+    for (double a : values)
+        for (double b : values)
+            for (double c : values)
+                triples.push_back({a, b, c});
+
+    for (OpKind kind : kScalarKinds) {
+        for (int lanes : {1, 3, 8, 16}) {
+            std::vector<double> a(lanes), b(lanes), c(lanes), out(lanes);
+            for (size_t t0 = 0; t0 < triples.size(); t0 += lanes) {
+                for (int l = 0; l < lanes; ++l) {
+                    const auto &t = triples[(t0 + l) % triples.size()];
+                    a[l] = t[0];
+                    b[l] = t[1];
+                    c[l] = t[2];
+                }
+                evalLanes(kind, a.data(), b.data(), c.data(), out.data(),
+                          lanes);
+                for (int l = 0; l < lanes; ++l) {
+                    const double args[3] = {a[l], b[l], c[l]};
+                    const double want = referenceScalar(kind, args);
+                    // Which NaN a two-NaN op propagates follows the
+                    // operand order the compiler emits, so a NaN result
+                    // matches any NaN; every other result, bit for bit.
+                    auto same = [&](double got) {
+                        return std::isnan(want) ? std::isnan(got)
+                                                : bitsOf(got) == bitsOf(want);
+                    };
+                    ASSERT_TRUE(same(out[l]))
+                        << opName(kind) << " lanes=" << lanes << " ("
+                        << a[l] << ", " << b[l] << ", " << c[l]
+                        << "): got " << out[l] << ", want " << want;
+                    ASSERT_TRUE(same(evalScalar(kind, args)))
+                        << opName(kind) << " evalScalar";
+                }
+            }
+        }
+    }
+}
+
+TEST(EvalLanes, MacRoundsTheProductBeforeTheAdd)
+{
+    // (1 + 2^-30)^2 = 1 + 2^-29 + 2^-60: the rounded product drops the
+    // 2^-60 term, so a * b + c cancels to 0 while a fused multiply-add
+    // keeps 2^-60.
+    const double a = 1.0 + std::ldexp(1.0, -30);
+    const double c = -(1.0 + std::ldexp(1.0, -29));
+    ASSERT_NE(std::fma(a, a, c), 0.0);
+    for (int lanes : {1, 3, 8, 16}) {
+        std::vector<double> va(lanes, a), vc(lanes, c), out(lanes, 1.0);
+        evalLanes(OpKind::Mac, va.data(), va.data(), vc.data(), out.data(),
+                  lanes);
+        for (int l = 0; l < lanes; ++l)
+            EXPECT_EQ(bitsOf(out[l]), bitsOf(0.0)) << "lanes=" << lanes;
+    }
+}
+
+TEST(EvalLanes, RejectsNonScalarKinds)
+{
+    double x[1] = {0.0}, out[1];
+    for (OpKind kind : {OpKind::Const, OpKind::Iter, OpKind::Read,
+                        OpKind::Write, OpKind::RedAdd})
+        EXPECT_THROW(evalLanes(kind, x, x, x, out, 1), PanicError)
+            << opName(kind);
 }
 
 } // namespace
