@@ -343,25 +343,29 @@ TEST(CondVar, NotifyOneWakesLongestParked)
     EXPECT_TRUE(b.done());
 }
 
-/** A slot grant event: one slot and notifyOne, or a broadcast with
- *  enough slots for every waiter. */
+/** A slot grant event: one slot, and notifyOne wakes the list head. */
 struct Grant
 {
     CondVar *cv;
     int *slots;
-    bool all;
 
     static void
     fire(void *p)
     {
         auto *g = static_cast<Grant *>(p);
-        *g->slots += g->all ? 3 : 1;
-        if (g->all)
-            g->cv->notifyAll();
-        else
-            g->cv->notifyOne();
+        ++*g->slots;
+        g->cv->notifyOne();
     }
 };
+
+/** Grant one slot at each of cycles 20, 21 and 22. The list head takes
+ *  each slot uncontended, so the log reads the wait-list order. */
+void
+grantInListOrder(Scheduler &sched, Grant &grant)
+{
+    for (uint64_t at : {20, 21, 22})
+        sched.scheduleFnAt(&Grant::fire, &grant, at);
+}
 
 TEST(CondVar, NotifyCursorMatchesBroadcastOrder)
 {
@@ -382,15 +386,13 @@ TEST(CondVar, NotifyCursorMatchesBroadcastOrder)
     sched.scheduleAt(a.handle(), 0);
     sched.scheduleAt(b.handle(), 0);
     sched.scheduleAt(c.handle(), 0); // Parks itself until cycle 5.
-    Grant one{&cv, &slots, false}, all{&cv, &slots, true};
+    Grant grant{&cv, &slots};
     // Cycle 5: one slot. notifyOne puts A's wake in flight; C's delay
     // expiry (scheduled at cycle 0, smaller seq) runs first, steals
     // the slot and parks its second request at the cursor. A then
     // re-parks spuriously behind it: list [C, A, B].
-    sched.scheduleFnAt(&Grant::fire, &one, 5);
-    // Cycle 20: broadcast with slots for everyone — the resulting log
-    // order exposes the wait-list order directly.
-    sched.scheduleFnAt(&Grant::fire, &all, 20);
+    sched.scheduleFnAt(&Grant::fire, &grant, 5);
+    grantInListOrder(sched, grant);
     sched.run();
     EXPECT_EQ(log, (std::vector<int>{3, 3, 1, 2}));
     EXPECT_TRUE(a.done());
@@ -439,9 +441,9 @@ TEST(CondVar, CallbackWaitersKeepTheBroadcastOrder)
     Task c = slotTaker(sched, cv, slots, log, 3, 2, 5);
     sched.scheduleAt(b.handle(), 0);
     sched.scheduleAt(c.handle(), 0);
-    Grant one{&cv, &slots, false}, all{&cv, &slots, true};
-    sched.scheduleFnAt(&Grant::fire, &one, 5);
-    sched.scheduleFnAt(&Grant::fire, &all, 20);
+    Grant grant{&cv, &slots};
+    sched.scheduleFnAt(&Grant::fire, &grant, 5);
+    grantInListOrder(sched, grant);
     sched.run();
     EXPECT_EQ(log, (std::vector<int>{3, 3, 1, 2}));
     EXPECT_FALSE(cv.hasWaiters());
