@@ -251,16 +251,12 @@ NocModel::grant(Link &link, size_t qPos)
     totalQueueCycles_ += now - f->arrivedAt;
 
     // The vacated slot unblocks producers injecting here and feeder
-    // links with flits destined here. One grant frees one slot, so
-    // targeted mode wakes only the longest-parked producer; the rest
-    // would lose the re-check race anyway (thundering herd). Guarded
-    // behind hasWaiters so uncontended grants skip scheduler traffic.
-    if (link.spaceCv.hasWaiters()) {
-        if (targetedWakeups_)
-            link.spaceCv.notifyOne();
-        else
-            link.spaceCv.notifyAll();
-    }
+    // links with flits destined here. One grant frees one slot, so it
+    // wakes only the longest-parked producer; the rest would lose the
+    // re-check race anyway (thundering herd). Guarded behind
+    // hasWaiters so uncontended grants skip scheduler traffic.
+    if (link.spaceCv.hasWaiters())
+        link.spaceCv.notifyOne();
     for (int fi : link.feeders)
         schedulePoll(links_[fi], now);
 

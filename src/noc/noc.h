@@ -134,12 +134,6 @@ class NocModel
      */
     void setFaultInjector(const fault::FaultInjector *inj) { inj_ = inj; }
 
-    /** Wake one parked producer per freed link slot (a grant frees
-     *  exactly one) instead of broadcasting to every producer sharing
-     *  the first-hop link. Cycle-identical to the broadcast; kept
-     *  switchable for the perf harness's wakeup A/B accounting. */
-    void setTargetedWakeups(bool on) { targetedWakeups_ = on; }
-
     /** Attach a flight recorder (may be null): every link grant is
      *  recorded as a LinkGrant event for failure timelines. Not owned
      *  — must outlive the model. */
@@ -208,7 +202,6 @@ class NocModel
     NocSpec spec_;
     const fault::FaultInjector *inj_ = nullptr;
     telemetry::FlightRecorder *flight_ = nullptr;
-    bool targetedWakeups_ = true;
 
     struct StreamState
     {

@@ -161,16 +161,6 @@ jsonReport(const workloads::Workload &w, const RunConfig &config,
     j.kv("flops", r.sim.flops);
     j.kv("gflops", r.gflops());
     j.kv("compute_utilization", r.sim.avgComputeUtilization);
-    // Region-parallel event core: how the run actually executed.
-    // sim_threads is the achieved region count (1 = sequential), not
-    // the request; a fallback reports 1 plus the reason.
-    j.kv("sim_threads", r.sim.simThreads);
-    j.kv("sim_regions", r.sim.simRegions);
-    j.kv("quanta", r.sim.quanta);
-    j.kv("barrier_wait_ratio", r.sim.barrierWaitRatio);
-    j.kv("parallel_fallback", r.sim.parallelFallback);
-    if (r.sim.parallelFallback)
-        j.kv("fallback_reason", r.sim.fallbackReason);
     j.key("host").beginObject();
     j.kv("events", r.sim.hostEvents);
     j.kv("wakeups", r.sim.wakeups);

@@ -662,11 +662,7 @@ Server::executeCompileOrRun(const Request &req, double queueMs,
         rc.check = req.check;
         rc.sim.useNoc = req.noc;
         rc.sim.hangDiagnosis = true;
-        // Every region thread of the parallel core polls this flag
-        // each cycle, so the watchdog deadline holds at any
-        // --sim-threads setting.
         rc.sim.cancel = cancel;
-        rc.sim.simThreads = opt_.simThreads;
         if (req.maxCycles)
             rc.sim.maxCycles = req.maxCycles;
         else if (opt_.defaultMaxCycles)
@@ -676,22 +672,9 @@ Server::executeCompileOrRun(const Request &req, double queueMs,
         b.kv("cycles", r.sim.cycles)
             .kv("time_us", r.timeUs())
             .kv("gflops", r.gflops())
-            .kv("dram_gbs", r.dramGBs())
-            .kv("sim_threads", r.sim.simThreads)
-            .kv("barrier_wait_ratio", r.sim.barrierWaitRatio);
-        if (r.sim.parallelFallback)
-            b.kv("fallback_reason", r.sim.fallbackReason);
+            .kv("dram_gbs", r.dramGBs());
         if (r.checked)
             b.kv("correct", r.correct);
-        if (opt_.simThreads > 1) {
-            std::lock_guard<std::mutex> lock(statsMu_);
-            if (r.sim.parallelFallback) {
-                ++parallelFallbacks_;
-            } else {
-                ++parallelRuns_;
-                barrierWaitSum_ += r.sim.barrierWaitRatio;
-            }
-        }
     }
 
     serviceMs = msBetween(t0, std::chrono::steady_clock::now());
@@ -814,19 +797,6 @@ Server::statsJson() const
             executing = inflight_.size();
         }
         j.kv("executing", static_cast<uint64_t>(executing));
-    }
-    j.endObject();
-
-    j.key("parallel_sim").beginObject();
-    {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        j.kv("sim_threads", opt_.simThreads);
-        j.kv("parallel_runs", parallelRuns_);
-        j.kv("fallback_runs", parallelFallbacks_);
-        j.kv("mean_barrier_wait_ratio",
-             parallelRuns_ ? barrierWaitSum_ /
-                                 static_cast<double>(parallelRuns_)
-                           : 0.0);
     }
     j.endObject();
 

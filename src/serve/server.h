@@ -128,13 +128,6 @@ struct ServerOptions
     double retryBackoffMs = 2.0;
     /** Simulator cycle budget applied when a request doesn't set one. */
     uint64_t defaultMaxCycles = 0;
-    /** Region-parallel event core: worker threads per simulation
-     *  (1 = sequential). Parallel runs stay cycle-identical; requests
-     *  whose graph or mode can't split fall back per-request and the
-     *  stats verb reports the fallback share. The watchdog's
-     *  cooperative cancel flag is polled each cycle by every region
-     *  thread, so deadlines hold under parallel execution too. */
-    int simThreads = 1;
     /** Per-tenant scheduling weights (absent tenants weigh 1.0). */
     std::map<std::string, double> tenantWeights;
 
@@ -276,12 +269,6 @@ class Server
     std::map<std::string, TenantStats> tenants_;
     double ewmaServiceMs_ = 10.0;
     std::chrono::steady_clock::time_point epoch_;
-    // Region-parallel simulation accounting (guarded by statsMu_):
-    // how many Run requests actually split vs fell back, and the
-    // aggregate barrier-wait ratio over the parallel ones.
-    uint64_t parallelRuns_ = 0;
-    uint64_t parallelFallbacks_ = 0;
-    double barrierWaitSum_ = 0.0;
 
     // Watchdog registry of executing requests.
     mutable std::mutex inflightMu_;

@@ -88,12 +88,6 @@ struct SimOptions
      *  starvation vs injected fault, and throw a structured
      *  fault::HangError instead of the flat deadlock panic. */
     bool hangDiagnosis = false;
-    /** Targeted wakeups: notifyOne on single-waiter FIFO/NoC condition
-     *  variables and predicate-gated AG-drain notifies, instead of
-     *  broadcast notifyAll. Cycle-identical either way (asserted by
-     *  the CycleIdentity goldens); the broadcast baseline is kept so
-     *  the perf harness can A/B the spurious-wakeup ratio. */
-    bool targetedWakeups = true;
     /** Core-grid dimensions for the per-unit counter file and the
      *  `--counters` heatmap (filled from arch::PlasticineSpec by the
      *  runtime layer; fringe AGs sit at x = -1 / x = fabricCols). */
@@ -107,24 +101,8 @@ struct SimOptions
      *  When it goes true the run stops and throws a HangError whose
      *  FailureReport carries `cancelled` (the daemon watchdog uses
      *  this to cancel a request that blew its wall-clock deadline
-     *  without killing the worker thread). Not owned; may be null.
-     *  Region-parallel runs poll it on every region thread. */
+     *  without killing the worker thread). Not owned; may be null. */
     const std::atomic<bool> *cancel = nullptr;
-    /** Region-parallel execution: partition the fabric into up to this
-     *  many regions, each driven by its own calendar queue on its own
-     *  host thread, synchronized by a conservative time-quantum
-     *  barrier (quantum = min cross-region stream latency). 1 — the
-     *  default — is the sequential core. Parallel runs are
-     *  cycle-identical to sequential by construction; runs that cannot
-     *  honor that contract up front (NoC model, fault injection,
-     *  tracing, indivisible graphs) fall back to the sequential core,
-     *  as do runs whose speculation hits a cross-region credit
-     *  conflict mid-flight (SimResult::parallelFallback). */
-    int simThreads = 1;
-    /** Testing hook: cap the barrier quantum (0 = derived from the
-     *  minimum cut-stream latency). A cap of 1 barriers every cycle —
-     *  the worst case the determinism argument must still survive. */
-    uint64_t maxQuantum = 0;
 };
 
 /**
@@ -240,23 +218,6 @@ struct SimResult
      *  Per-cause stall sums over all blocks reconcile exactly with
      *  `stallTotals` (asserted in tests/test_counters.cc). */
     telemetry::CounterFile counters;
-    /** Region-parallel execution metrics (sequential runs: threads =
-     *  regions = 1, quanta = 0). `simThreads` is the *effective*
-     *  thread count — it can be lower than requested when the graph
-     *  yields fewer clusters, and 1 after a fallback. */
-    int simThreads = 1;
-    int simRegions = 1;
-    /** Barrier quanta executed by the parallel core. */
-    uint64_t quanta = 0;
-    /** Fraction of region-thread wall time spent at the quantum
-     *  barrier (sync overhead; 0 for sequential runs). */
-    double barrierWaitRatio = 0.0;
-    /** A parallel run was requested but the sequential core ran —
-     *  either ineligible up front (NoC / fault injection / tracing /
-     *  indivisible graph) or a cross-region credit conflict aborted
-     *  the speculative attempt. */
-    bool parallelFallback = false;
-    std::string fallbackReason;
 };
 
 /** Executes one compiled VUDFG against a DRAM model. */
@@ -276,7 +237,6 @@ class Simulator
   private:
     struct Engine;
     struct MemGroup;
-    struct Region;
     struct DataWait;
     struct SpaceWait;
 
@@ -328,43 +288,14 @@ class Simulator
     // PMU port-bus requests are staged during the cycle and resolved
     // in unit-id order once the cycle's events drain (a deterministic
     // hardware arbiter). Simulated timing therefore depends only on
-    // the dependency graph, never on host event order — the invariant
-    // the region-parallel core needs for cycle identity. Staging is
-    // per-region; DRAM requests only ever stage in the region holding
-    // every AG (the partitioner co-locates them with the DRAM model).
-    static void armArbiter(Region &r);
+    // the dependency graph, never on host event order.
+    void armArbiter();
     static void arbTrampoline(void *arg);
-    void resolveArbitration(Region &r);
+    void resolveArbitration();
 
-    // Region-parallel execution (SimOptions::simThreads > 1).
-    /** Cluster units (co-locating AGs + DRAM, each memory group, and
-     *  latency-1 couples), pack clusters into <= `threads` regions,
-     *  split cut streams into mailbox mode, and derive the barrier
-     *  quantum. False when the graph yields < 2 clusters — the caller
-     *  falls back to the sequential core. */
-    bool partitionRegions(int threads);
-    /** Run the quantum-barrier loop across region threads. True: run
-     *  completed (or was cancelled — that throws from inside).
-     *  False: the attempt aborted (credit conflict, engine fault,
-     *  hang, budget) — the caller rebuilds pristine state and re-runs
-     *  on the sequential core, which reproduces the outcome
-     *  bit-identically through the battle-tested reporting paths. */
-    bool tryRunParallel(SimResult &result);
-    /** Tear down all runtime state (engines, fifos, schedulers,
-     *  regions, DRAM timing) and rebuild it as freshly constructed,
-     *  restoring the caller-provided initial DRAM tensor images. Used
-     *  both between speculative attempts (with new `colocate_` pins
-     *  learned from the conflict) and before the sequential retry. */
-    void rebuildRuntimeState(std::vector<std::vector<double>> initialDram);
-    /** Merge per-region flight rings into flight_ ordered by
-     *  (cycle, region, ring index) — the (at, seq) merge that keeps
-     *  FailureReport timelines ordered under --sim-threads > 1. */
-    void mergeRegionFlight();
-    /** Shared tail of run(): assemble the SimResult from engine /
-     *  fifo / DRAM / region state. */
+    /** Assemble the SimResult from engine, fifo and DRAM state. */
     SimResult assembleResult(uint64_t end);
 
-    void buildState();
     [[noreturn]] void reportHang();
     [[noreturn]] void reportBudgetExceeded();
     [[noreturn]] void reportCancelled();
@@ -390,31 +321,17 @@ class Simulator
     dram::DramModel dram_;
     std::unique_ptr<noc::NocModel> noc_; ///< Non-null when useNoc.
 
-    /** DRAM requests in flight across every AG (telemetry; only the
-     *  AG region's thread touches it). */
+    /** DRAM requests in flight across every AG (telemetry). */
     int dramOutstanding_ = 0;
-    /** Execution regions. Always at least one: region 0 aliases the
-     *  members below (sched_, pool_, flight_) so the sequential core
-     *  runs exactly as before; parallel regions 1..R-1 own their
-     *  scheduler / pool / flight ring. Wakeup and arbitration staging
-     *  state lives per region (see Region). */
-    std::vector<std::unique_ptr<Region>> regions_;
-    /** Streams whose endpoints straddle regions, StreamId order. */
-    std::vector<FifoState *> cutFifos_;
-    /** Unit pairs the partitioner must co-locate, learned from cut
-     *  conflicts: a stream that filled its credit window once will
-     *  exert backpressure again, and backpressure needs the
-     *  sequential core's same-cycle credit return. */
-    std::vector<std::pair<int32_t, int32_t>> colocate_;
-    /** Conservative barrier quantum (min cut-stream latency). */
-    uint64_t quantum_ = 0;
-    /** A producer ran out of local credits on a cut stream: the
-     *  speculative parallel attempt has diverged — abort and fall
-     *  back (set from region threads, read at the barrier). */
-    std::atomic<bool> cutConflict_{false};
-    /** Sequential-fallback bookkeeping for SimResult. */
-    bool fallback_ = false;
-    std::string fallbackReason_;
+    // Wakeup accounting (copied into SimResult::wakeups et al.).
+    uint64_t wakeups_ = 0;
+    uint64_t spuriousWakeups_ = 0;
+    std::array<uint64_t, kNumWakeClasses> wakeupsByClass_{};
+    std::array<uint64_t, kNumWakeClasses> spuriousByClass_{};
+    // End-of-cycle arbitration staging (see resolveArbitration).
+    std::vector<Engine *> arbDram_;
+    std::vector<Engine *> arbBus_;
+    bool arbArmed_ = false;
     /** Last-N scheduler/wakeup/link events for failure timelines. */
     telemetry::FlightRecorder flight_{0};
     /** Cumulative firings per fabric region (4x4 region grid), sampled

@@ -158,9 +158,7 @@ class Scheduler
      * same-cycle events). The simulator's same-cycle arbiters (DRAM
      * channel order, PMU port-bus grants) live here: requests staged
      * during the cycle are resolved in one deterministic pass whose
-     * order does not depend on the event interleave — the property
-     * that lets region-parallel execution stay cycle-identical to the
-     * sequential core.
+     * order does not depend on the event interleave.
      */
     void
     atCycleEnd(EventFn fn, void *arg)
@@ -205,48 +203,6 @@ class Scheduler
             drainCycle();
         }
         return now_;
-    }
-
-    /**
-     * Quantum-bounded drain for region-parallel execution: run events
-     * strictly before `endExclusive`, leaving later events pending.
-     * End-of-cycle handlers for an executed cycle always run before
-     * returning, so no arbitration straddles a quantum boundary. The
-     * cancel flag is polled once per executed cycle — every region
-     * thread of a parallel run honours the watchdog's cooperative
-     * cancel. Returns false when cancelled.
-     */
-    bool
-    runUntil(uint64_t endExclusive,
-             const std::atomic<bool> *cancel = nullptr)
-    {
-        while (pending_ > 0 || !eoc_.empty()) {
-            if (cancel && cancel->load(std::memory_order_relaxed)) {
-                cancelled_ = true;
-                return false;
-            }
-            if (!eoc_.empty() &&
-                (pending_ == 0 || nextEventAt() > now_)) {
-                runEndOfCycle();
-                continue;
-            }
-            uint64_t next = nextEventAt();
-            if (next >= endExclusive)
-                return true;
-            now_ = next;
-            drainCycle();
-        }
-        return true;
-    }
-
-    /** Earliest pending event time, or UINT64_MAX when idle. Only
-     *  meaningful between runUntil() quanta (end-of-cycle handlers
-     *  never remain pending across a quantum boundary). */
-    uint64_t
-    peekNextAt() const
-    {
-        SARA_ASSERT(eoc_.empty(), "peek with end-of-cycle work pending");
-        return pending_ > 0 ? nextEventAt() : UINT64_MAX;
     }
 
     bool idle() const { return pending_ == 0; }
@@ -380,11 +336,10 @@ class Scheduler
  * which lets an awaiter re-check and re-park without resuming its
  * coroutine. Both kinds share one list and one order.
  *
- * Wakeup policies: notifyAll() broadcasts (every waiter runs and
- * re-checks), notifyOne() wakes only the front (FIFO) waiter and
- * opens an insertion cursor so that same-cycle racers and the woken
- * waiter's own re-park (with `atCursor`) land in exactly the
- * wait-list order a broadcast would have rebuilt; see notifyOne().
+ * notifyOne() wakes only the front (FIFO) waiter and opens an
+ * insertion cursor, so that same-cycle racers and the woken waiter's
+ * own re-park (with `atCursor`) keep the wait-list order the cycle
+ * goldens pin; see notifyOne().
  */
 class CondVar
 {
@@ -437,30 +392,19 @@ class CondVar
             ++cursor_; // Fresh racers stack up in arrival order.
     }
 
-    /** Wake all waiters (they run at the current time). */
-    void
-    notifyAll()
-    {
-        telemetry::ScopedPhase phase(telemetry::HostPhase::CvWait);
-        for (const Waiter &w : waiters_)
-            sched_->scheduleFnAt(w.fn, w.arg, sched_->now());
-        waiters_.clear();
-        wakeInFlight_ = false;
-    }
-
     /**
      * Wake the longest-parked waiter only.
      *
-     * A broadcast empties the wait list, so until the woken waiters
-     * resume, any engine parking "fresh" lands *ahead* of every old
-     * waiter that will spuriously re-park behind it. To stay
-     * cycle-identical with that emergent order, notifyOne opens an
-     * insertion cursor at the list front: parks that execute while the
-     * wake is still in flight slot in before the surviving waiters,
-     * and the woken engine's own immediate re-park (a park with
-     * atCursor, see Engine::grantWake) lands right after them —
-     * exactly where its broadcast re-park would have gone. The woken
-     * waiter's resume closes the window via wakeLanded().
+     * The wait-list order the cycle goldens pin is the one a broadcast
+     * wakeup would rebuild: every waiter re-checks, so an engine that
+     * parks "fresh" before they resume lands *ahead* of every old
+     * waiter that re-parks behind it. notifyOne keeps that order by
+     * opening an insertion cursor at the list front: parks that
+     * execute while the wake is still in flight slot in before the
+     * surviving waiters, and the woken engine's own immediate re-park
+     * (a park with atCursor, see Engine::grantWake) lands right after
+     * them. The woken waiter's resume closes the window via
+     * wakeLanded().
      */
     void
     notifyOne()

@@ -17,15 +17,6 @@
  * counter file is a lossless re-keying of the same cycle attribution,
  * never a second bookkeeping that can drift.
  *
- * Region-parallel runs (DESIGN.md §4.12): the file is assembled once,
- * after the region threads join, from per-engine stats and FIFO
- * high-water marks — no cross-thread counter mutation ever happens.
- * Every cycle-attributed counter is identical to the sequential run
- * (asserted in tests/test_sim.cc, CountersIdenticalUnderParallelRun);
- * the one documented exception is `occ_peak` on cut streams, whose
- * producer-side occupancy view is conservative (credits return only
- * at quantum boundaries) and may read higher than sequential.
- *
  * Counters inside a block keep insertion order (deterministic output:
  * two runs of the same compiled graph render byte-identically, which
  * is what the golden test checks).

@@ -12,12 +12,6 @@
  * budget overrun) the last-N events land in the structured
  * FailureReport, giving every hang diagnosis the timeline that led up
  * to it.
- *
- * Region-parallel runs keep one recorder per region (each written by
- * exactly one thread); when a cancelled parallel run must report, the
- * rings are merged deterministically by (at, region, slot index) into
- * a single ordered timeline — see Simulator::mergeRegionFlight — so
- * exit-4 FailureReports look the same under `--sim-threads > 1`.
  */
 
 #include <cstdint>

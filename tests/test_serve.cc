@@ -358,56 +358,6 @@ TEST(ServeServer, CompileRunStatsShutdownEndToEnd)
     EXPECT_FALSE(fs::exists(server.socketPath())); // socket unlinked
 }
 
-TEST(ServeServer, ParallelSimReportedInResponsesAndStats)
-{
-    // A daemon started with simThreads > 1 runs every request through
-    // the region-parallel core (falling back per-request when it must)
-    // and surfaces the outcome: sim_threads + barrier_wait_ratio on
-    // each run response, aggregate counts in the stats verb.
-    auto opts = testOptions("parsim", 2, 16);
-    opts.simThreads = 2;
-    serve::Server server(opts);
-    server.start();
-    ASSERT_TRUE(serve::waitForServer(server.socketPath(), 5000));
-    {
-        serve::Client client(server.socketPath());
-
-        serve::Request run;
-        run.id = "r1";
-        run.verb = serve::Verb::Run;
-        run.workload = "ms";
-        run.par = 8;
-        json::Value r = client.call(run);
-        ASSERT_EQ(r.at("status").str, "ok") << r.at("error").str;
-        ASSERT_TRUE(r.find("sim_threads") != nullptr);
-        ASSERT_TRUE(r.find("barrier_wait_ratio") != nullptr);
-        bool fellBack = r.find("fallback_reason") != nullptr;
-        if (fellBack)
-            EXPECT_EQ(r.at("sim_threads").num, 1.0);
-        else
-            EXPECT_EQ(r.at("sim_threads").num, 2.0);
-
-        serve::Request st;
-        st.id = "s1";
-        st.verb = serve::Verb::Stats;
-        json::Value s = client.call(st);
-        ASSERT_EQ(s.at("status").str, "ok");
-        const json::Value &ps = s.at("stats").at("parallel_sim");
-        EXPECT_EQ(ps.at("sim_threads").num, 2.0);
-        EXPECT_EQ(ps.at("parallel_runs").num +
-                      ps.at("fallback_runs").num,
-                  1.0);
-        EXPECT_GE(ps.at("mean_barrier_wait_ratio").num, 0.0);
-        EXPECT_LE(ps.at("mean_barrier_wait_ratio").num, 1.0);
-
-        serve::Request sd;
-        sd.id = "bye";
-        sd.verb = serve::Verb::Shutdown;
-        client.call(sd);
-    }
-    server.wait();
-}
-
 TEST(ServeServer, PoisonedRequestsGetErrorsAndDaemonSurvives)
 {
     serve::Server server(testOptions("poison", 2, 16));
