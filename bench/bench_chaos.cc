@@ -697,11 +697,10 @@ int
 main(int argc, char **argv)
 {
     ChaosOptions opt;
-    bench::BenchArgs args(argc, argv,
-                          "[--seeds N] [--quick] [--out FILE.json]");
+    CliArgs args(argc, argv, "[--seeds N] [--quick] [--out FILE.json]");
     while (args.next()) {
         if (args.is("--seeds"))
-            opt.seeds = args.number();
+            opt.seeds = args.number<int>();
         else if (args.is("--quick"))
             opt.quick = true;
         else if (args.is("--out"))

@@ -160,8 +160,8 @@ int
 main(int argc, char **argv)
 {
     bool quick = false;
-    BenchArgs args(argc, argv,
-                   std::string("[--quick] ") + BenchContext::kFlags);
+    CliArgs args(argc, argv,
+                 std::string("[--quick] ") + BenchContext::kFlags);
     BenchContext ctx;
     while (args.next()) {
         if (args.is("--quick"))

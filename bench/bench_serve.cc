@@ -184,9 +184,9 @@ int
 main(int argc, char **argv)
 {
     BenchOptions opt;
-    bench::BenchArgs args(argc, argv,
-                          "[--connect SOCKET] [--out FILE.json] [--quick] "
-                          "[--workers N] [--queue-depth N]");
+    CliArgs args(argc, argv,
+                 "[--connect SOCKET] [--out FILE.json] [--quick] "
+                 "[--workers N] [--queue-depth N]");
     while (args.next()) {
         if (args.is("--connect"))
             opt.connect = args.value();
@@ -195,9 +195,9 @@ main(int argc, char **argv)
         else if (args.is("--quick"))
             opt.quick = true;
         else if (args.is("--workers"))
-            opt.workers = args.number();
+            opt.workers = args.number<int>();
         else if (args.is("--queue-depth"))
-            opt.queueDepth = static_cast<size_t>(args.number());
+            opt.queueDepth = args.number<size_t>();
         else
             args.unknown();
     }
