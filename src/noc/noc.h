@@ -176,7 +176,7 @@ class NocModel
         int idx = -1;     ///< Index into links_ (flight-event key).
         std::string site; ///< "(x,y)D" — fault-injection site name.
         int streams = 0;          ///< Static load (routed streams).
-        std::deque<Flit *> q;     ///< Waiting flits, arrival order.
+        std::vector<Flit *> q;    ///< Waiting flits, arrival order.
         int reserved = 0;         ///< Slots held by in-transit flits.
         uint64_t freeAt = 0;      ///< Next cycle a grant is possible.
         bool pollScheduled = false;

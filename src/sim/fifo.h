@@ -7,12 +7,17 @@
  * Pushes enter an in-flight queue and are delivered after the stream's
  * network latency; capacity accounting covers in-flight elements so
  * back-pressure matches a credit-based hardware flow control.
- * Token streams carry empty payloads and are effectively unbounded
+ * Token streams carry no payload and are effectively unbounded
  * (credits bound their occupancy by construction).
+ *
+ * A data stream keeps its elements in one flat ring of fixed-width
+ * lane slots — stored elements first, in-flight elements after them —
+ * so push, delivery and pop are index arithmetic and allocate nothing.
+ * A token stream keeps its counts only.
  */
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "dfg/vudfg.h"
@@ -24,78 +29,37 @@
 
 namespace sara::sim {
 
-/** One data element: the active-lane values of a vectorized firing. */
-using Element = std::vector<double>;
-
-/**
- * Recycler for Element lane buffers. The fire path allocates one
- * Element per pushed firing and frees it at the consumer's pop; with
- * a pool the freed buffer's heap allocation is reused instead
- * (steady-state simulation becomes allocation-free on this path).
- * acquire() does not zero the reused buffer — callers overwrite every
- * lane; acquireZeroed() is for skip/default elements.
- */
-class ElementPool
+/** Read-only view of one element's active lanes. A 1-lane element
+ *  broadcasts to every lane of its consumer. */
+struct LaneView
 {
-  public:
-    Element
-    acquire(size_t lanes)
-    {
-        if (free_.empty())
-            return Element(lanes);
-        Element e = std::move(free_.back());
-        free_.pop_back();
-        e.resize(lanes);
-        return e;
-    }
+    const double *data = nullptr;
+    int size = 0;
 
-    Element
-    acquireZeroed(size_t lanes)
-    {
-        if (free_.empty())
-            return Element(lanes, 0.0);
-        Element e = std::move(free_.back());
-        free_.pop_back();
-        e.assign(lanes, 0.0);
-        return e;
-    }
-
-    void
-    release(Element &&e)
-    {
-        if (e.capacity() > 0 && free_.size() < kMaxFree)
-            free_.push_back(std::move(e));
-    }
-
-    size_t pooled() const { return free_.size(); }
-
-  private:
-    static constexpr size_t kMaxFree = 1024;
-    std::vector<Element> free_;
+    double operator[](int lane) const { return data[lane]; }
 };
 
 /** Runtime FIFO backing one dfg::Stream. */
 class FifoState
 {
   public:
-    /** With a NoC model attached (and a routed stream), in-flight
-     *  elements traverse the cycle-level network instead of the fixed
-     *  `latency`-cycle delay; the credit window is unchanged. An
-     *  injector (may be null) enables the fifo-leak fault model; a
-     *  pool (may be null, shared across streams) recycles popped
-     *  Element buffers back to the fire path. A flight recorder (may
-     *  be null) logs each delivery for failure timelines. */
+    /** `width` is the widest element the producer can push (its
+     *  innermost SIMD width); the ring's slots are at least the
+     *  stream's `vec` wide. With a NoC model attached (and a routed
+     *  stream), in-flight elements traverse the cycle-level network
+     *  instead of the fixed `latency`-cycle delay; the credit window is
+     *  unchanged. An injector (may be null) enables the fifo-leak fault
+     *  model. A flight recorder (may be null) logs each delivery for
+     *  failure timelines. */
     void
-    init(Scheduler &sched, const dfg::Stream &spec,
+    init(Scheduler &sched, const dfg::Stream &spec, int width = 1,
          noc::NocModel *noc = nullptr,
          const fault::FaultInjector *inj = nullptr,
-         ElementPool *pool = nullptr,
          telemetry::FlightRecorder *flight = nullptr)
     {
         sched_ = &sched;
         spec_ = &spec;
         inj_ = inj;
-        pool_ = pool;
         flight_ = flight;
         noc_ = noc && noc->participates(spec.id) ? noc : nullptr;
         isToken_ = spec.kind == dfg::StreamKind::Token;
@@ -106,18 +70,25 @@ class FifoState
         capacity_ = isToken_
                         ? UINT64_MAX
                         : static_cast<uint64_t>(spec.depth) + latency_;
+        // Pre-filled credits (CMMC backward edges): empty elements.
+        stored_ = static_cast<uint64_t>(std::max(spec.initTokens, 0));
+        if (!isToken_) {
+            // A push needs a credit, so occupancy stays within the
+            // window, or within the pre-filled credits.
+            slots_ = std::max({capacity_, stored_, uint64_t{1}});
+            width_ = std::max({width, spec.vec, 1});
+            lanes_.assign(slots_ * width_, 0.0);
+            sizes_.assign(slots_, 0);
+        }
         dataCv.bind(sched);
         spaceCv.bind(sched);
-        // Pre-filled credits (CMMC backward edges).
-        for (int i = 0; i < spec.initTokens; ++i)
-            stored_.emplace_back();
         noteOccupancy();
     }
 
     const dfg::Stream &spec() const { return *spec_; }
 
-    bool empty() const { return stored_.empty(); }
-    size_t occupancy() const { return stored_.size() + inflight_.size(); }
+    bool empty() const { return stored_ == 0; }
+    size_t occupancy() const { return stored_ + inflight_; }
     bool hasSpace() const { return occupancy() < capacity_; }
 
     /** True when the stream rides the cycle-level network. */
@@ -134,16 +105,15 @@ class FifoState
     /** Wait list for `canInject` (only valid when `onNoc()`). */
     CondVar &injectCv() { return noc_->acceptCv(spec_->id); }
 
-    /** Push now; delivered after the stream latency (or the network
-     *  transit time when a NoC is attached), in order. */
+    /** Push the `n` lanes at `lanes` now (a token push takes none);
+     *  delivered after the stream latency (or the network transit time
+     *  when a NoC is attached), in order. */
     void
-    push(Element v)
+    push(const double *lanes = nullptr, int n = 0)
     {
         SARA_ASSERT(hasSpace(), "push to full fifo ", spec_->name);
         SARA_ASSERT(canInject(), "push to blocked link ", spec_->name);
-        ++pushes_;
-        inflight_.push_back(std::move(v));
-        noteOccupancy();
+        enqueue(lanes, n);
         if (noc_)
             noc_->inject(spec_->id, deliverTrampoline, this);
         else
@@ -152,12 +122,10 @@ class FifoState
 
     /** Push with an explicit extra delay (DRAM responses). */
     void
-    pushWithDelay(Element v, uint64_t extraDelay)
+    pushWithDelay(const double *lanes, int n, uint64_t extraDelay)
     {
         SARA_ASSERT(hasSpace(), "push to full fifo ", spec_->name);
-        ++pushes_;
-        inflight_.push_back(std::move(v));
-        noteOccupancy();
+        enqueue(lanes, n);
         if (noc_)
             noc_->injectAt(spec_->id, sched_->now() + extraDelay,
                            deliverTrampoline, this);
@@ -165,20 +133,24 @@ class FifoState
             scheduleDelivery(sched_->now() + latency_ + extraDelay);
     }
 
-    const Element &
+    /** The oldest stored element; the view is valid until the next
+     *  pop (token streams: an empty view). */
+    LaneView
     front() const
     {
-        SARA_ASSERT(!stored_.empty(), "front of empty fifo ", spec_->name);
-        return stored_.front();
+        SARA_ASSERT(stored_ > 0, "front of empty fifo ", spec_->name);
+        if (isToken_)
+            return {};
+        return {&lanes_[head_ * width_], sizes_[head_]};
     }
 
     void
     pop()
     {
-        SARA_ASSERT(!stored_.empty(), "pop of empty fifo ", spec_->name);
-        if (pool_)
-            pool_->release(std::move(stored_.front()));
-        stored_.pop_front();
+        SARA_ASSERT(stored_ > 0, "pop of empty fifo ", spec_->name);
+        --stored_;
+        if (!isToken_ && ++head_ == slots_)
+            head_ = 0;
         ++pops_;
         // Injected credit leak: the freed slot's credit is lost in
         // transit, permanently shrinking the window (floor 1 so the
@@ -206,6 +178,25 @@ class FifoState
     CondVar dataCv, spaceCv;
 
   private:
+    /** Copy one element into the slot after the in-flight ones. */
+    void
+    enqueue(const double *lanes, int n)
+    {
+        if (!isToken_) {
+            SARA_ASSERT(n >= 0 && n <= width_, "push of ", n,
+                        " lanes to fifo ", spec_->name, " with ", width_,
+                        "-lane slots");
+            uint64_t slot = head_ + occupancy();
+            if (slot >= slots_)
+                slot -= slots_;
+            std::copy_n(lanes, n, &lanes_[slot * width_]);
+            sizes_[slot] = n;
+        }
+        ++pushes_;
+        ++inflight_;
+        noteOccupancy();
+    }
+
     void
     noteOccupancy()
     {
@@ -229,9 +220,9 @@ class FifoState
     void
     deliverOne()
     {
-        SARA_ASSERT(!inflight_.empty(), "delivery with nothing in flight");
-        stored_.push_back(std::move(inflight_.front()));
-        inflight_.pop_front();
+        SARA_ASSERT(inflight_ > 0, "delivery with nothing in flight");
+        --inflight_;
+        ++stored_;
         if (flight_)
             flight_->record(telemetry::FlightKind::Deliver,
                             sched_->now(), spec_->id.v);
@@ -251,10 +242,16 @@ class FifoState
     const dfg::Stream *spec_ = nullptr;
     const fault::FaultInjector *inj_ = nullptr;
     noc::NocModel *noc_ = nullptr;
-    ElementPool *pool_ = nullptr;
     telemetry::FlightRecorder *flight_ = nullptr;
-    std::deque<Element> stored_;
-    std::deque<Element> inflight_;
+    /** Data streams: `slots_` elements of `width_` lanes each, and each
+     *  slot's active-lane count. Slot `head_` holds the oldest stored
+     *  element; the in-flight ones follow the stored ones. */
+    std::vector<double> lanes_;
+    std::vector<int> sizes_;
+    uint64_t slots_ = 0;
+    int width_ = 0;
+    uint64_t head_ = 0;
+    uint64_t stored_ = 0, inflight_ = 0;
     uint64_t capacity_ = 0;
     uint64_t latency_ = 1;
     uint64_t lastDeliverAt_ = 0;

@@ -46,6 +46,19 @@ reduceCombine(ir::OpKind kind, double acc, double v)
 /** Address lanes a PMU port or AG can issue in one firing. */
 constexpr int kMaxLanes = 64;
 
+/** std::llround(v), without the libm call for the integral values that
+ *  addresses almost always are. */
+int64_t
+roundAddr(double v)
+{
+    if (std::fabs(v) < 0x1p63) {
+        const auto i = static_cast<int64_t>(v);
+        if (static_cast<double>(i) == v)
+            return i;
+    }
+    return std::llround(v);
+}
+
 /** Extra cycles a PMU access pays for lanes colliding on a bank. */
 uint64_t
 bankConflictCycles(const int64_t *addrs, int lanes)
@@ -129,6 +142,29 @@ struct Simulator::MemGroup
     std::vector<ShardState> state;
 };
 
+/**
+ * The words one firing may touch without a per-lane lookup: address
+ * `a` maps to `base[a - lo]` when `a - lo` lies in [0, size). Every
+ * other address takes memWord(), which panics on the out-of-bounds
+ * ones, so the window only ever accepts addresses memWord accepts.
+ */
+struct Simulator::MemWindow
+{
+    double *base = nullptr;
+    int64_t lo = 0;
+    uint64_t size = 0;
+
+    /** The word `addr` names in the window, or null outside it. */
+    double *
+    word(int64_t addr) const
+    {
+        // Unsigned: an address below `lo` wraps far past `size`.
+        const uint64_t off =
+            static_cast<uint64_t>(addr) - static_cast<uint64_t>(lo);
+        return off < size ? base + off : nullptr;
+    }
+};
+
 /** Runtime state of one executing virtual unit. */
 struct Simulator::Engine
 {
@@ -167,6 +203,8 @@ struct Simulator::Engine
     std::vector<double> lv;
     std::vector<double> redAcc;
     std::vector<double> zeros;
+    /** PMU-port / AG read lanes, gathered before the credit wait. */
+    std::vector<double> resp;
 
     // Memory / AG state.
     MemGroup *group = nullptr; ///< MemPort: its tensor's storage group.
@@ -199,7 +237,9 @@ struct Simulator::Engine
     uint64_t flops = 0;
     int arithLops = 0;
     const char *blockReason = "not started";
-    std::string blockDetail;
+    /** The stream or unit name the engine waits on (stable storage in
+     *  the graph, so a park assigns no string). */
+    const char *blockDetail = "";
     WaitKind waitKind = WaitKind::None;
     int32_t waitStream = -1; ///< StreamId index for Stream*/NetInject.
     bool finished = false;
@@ -214,7 +254,7 @@ struct Simulator::Engine
         waitKind = kind;
         waitStream = stream;
         blockReason = why;
-        blockDetail = detail;
+        blockDetail = detail.c_str();
         sim->flight_.record(telemetry::FlightKind::Park, sim->sched_.now(),
                             u->id.v, stream);
     }
@@ -244,10 +284,13 @@ Simulator::Simulator(const ir::Program &program, const dfg::Vudfg &graph,
     }
 
     fifos_.resize(g_.numStreams());
-    for (size_t i = 0; i < g_.numStreams(); ++i)
-        fifos_[i].init(sched_, g_.stream(dfg::StreamId(i)), noc_.get(),
-                       opt_.fault, &pool_,
+    for (size_t i = 0; i < g_.numStreams(); ++i) {
+        const auto &s = g_.stream(dfg::StreamId(i));
+        // A producer pushes at most one lane per innermost SIMD lane.
+        fifos_[i].init(sched_, s, s.src.valid() ? g_.unit(s.src).vec() : 1,
+                       noc_.get(), opt_.fault,
                        flight_.enabled() ? &flight_ : nullptr);
+    }
 
     // Memory groups.
     for (const auto &u : g_.units()) {
@@ -326,6 +369,7 @@ Simulator::Simulator(const ir::Program &program, const dfg::Vudfg &graph,
         e->lv.assign(u.lops.size() * e->vec, 0.0);
         e->redAcc.assign(u.lops.size() * e->vec, 0.0);
         e->zeros.assign(e->vec, 0.0);
+        e->resp.assign(e->vec, 0.0);
         if (u.kind == VuKind::MemPort) {
             auto it = groups_.find(u.tensor.v);
             if (it != groups_.end())
@@ -657,7 +701,7 @@ Simulator::runUnit(Engine &e)
                                         : &ss.writeBusFree;
                         e.busExtra = extraCycles;
                         e.blockReason = "PMU bus";
-                        e.blockDetail = u.name;
+                        e.blockDetail = u.name.c_str();
                         e.grantWake = nullptr;
                         uint64_t blockedAt = sched_.now();
                         arbBus_.push_back(&e);
@@ -672,12 +716,12 @@ Simulator::runUnit(Engine &e)
                         e.blockReason = "";
                     }
                     if (u.dir == AccessDir::Read) {
-                        Element out = readLanes(e, addrs);
+                        readLanes(e, addrs);
                         auto &f =
                             fifos_[u.outputs[u.respOutput].stream.index()];
                         co_await awaitSpace(e, f, StallCause::Credit,
                                             "read response space");
-                        f.push(std::move(out));
+                        f.push(e.resp.data(), lanes);
                     } else {
                         writeLanes(e, addrs);
                     }
@@ -707,7 +751,7 @@ Simulator::runUnit(Engine &e)
                     laneAddrs(e, addrs);
                     stageBursts(e, addrs);
                     e.blockReason = "DRAM arbitration";
-                    e.blockDetail = u.name;
+                    e.blockDetail = u.name.c_str();
                     e.grantWake = nullptr;
                     arbDram_.push_back(&e);
                     armArbiter();
@@ -730,7 +774,7 @@ Simulator::runUnit(Engine &e)
                     }
 
                     if (u.dir == AccessDir::Read) {
-                        Element out = readLanes(e, addrs);
+                        readLanes(e, addrs);
                         auto &f =
                             fifos_[u.outputs[u.respOutput].stream.index()];
                         if (timedOut) {
@@ -743,7 +787,7 @@ Simulator::runUnit(Engine &e)
                         } else {
                             co_await awaitSpace(e, f, StallCause::Credit,
                                                 "DRAM response space");
-                            f.pushWithDelay(std::move(out),
+                            f.pushWithDelay(e.resp.data(), lanes,
                                             completeAt > sched_.now()
                                                 ? completeAt - sched_.now()
                                                 : 0);
@@ -783,13 +827,12 @@ Simulator::runUnit(Engine &e)
                     co_await awaitSpace(e, f, StallCause::Credit,
                                         "output space");
                     if (f.spec().kind == StreamKind::Token) {
-                        f.push(Element{});
+                        f.push();
                     } else if (k == n) {
-                        f.push(perFiringElement(e, ob));
+                        f.push(&e.lv[ob.lop * e.vec], e.activeLanes);
                     } else {
-                        Element one = pool_.acquire(1);
-                        one[0] = combinedOutputValue(e, ob);
-                        f.push(std::move(one));
+                        const double v = combinedOutputValue(e, ob);
+                        f.push(&v, 1);
                     }
                 }
 
@@ -821,8 +864,7 @@ Simulator::runUnit(Engine &e)
                             fifos_[u.outputs[u.respOutput].stream.index()];
                         co_await awaitSpace(e, f, StallCause::Credit,
                                             "skip response space");
-                        f.push(pool_.acquireZeroed(
-                            static_cast<size_t>(std::max(1, e.activeLanes))));
+                        f.push(e.zeros.data(), std::max(1, e.activeLanes));
                     }
                     ++e.stats.skips;
                     e.stats.busyCycles += 1;
@@ -941,13 +983,14 @@ Simulator::laneAddrs(const Engine &e, int64_t *addrs) const
     const int lanes = e.activeLanes;
     SARA_ASSERT(lanes <= kMaxLanes, "lane count too large");
     if (u.addrLop >= 0) {
+        const double *lv = &e.lv[u.addrLop * e.vec];
         for (int l = 0; l < lanes; ++l)
-            addrs[l] = std::llround(e.lv[u.addrLop * e.vec + l]);
+            addrs[l] = roundAddr(lv[l]);
     } else {
-        const auto &elem =
+        const LaneView elem =
             fifos_[u.inputs[u.addrInput].stream.index()].front();
         for (int l = 0; l < lanes; ++l)
-            addrs[l] = std::llround(elem.size() == 1 ? elem[0] : elem[l]);
+            addrs[l] = roundAddr(elem.size == 1 ? elem[0] : elem[l]);
     }
 }
 
@@ -979,16 +1022,43 @@ Simulator::memWord(Engine &e, int64_t addr, bool write)
     return ss.buffers[buf][offset];
 }
 
-Element
+Simulator::MemWindow
+Simulator::memWindow(Engine &e, bool write)
+{
+    const auto &u = *e.u;
+    if (u.kind == VuKind::Ag) {
+        auto &data = dramData_[u.tensor.index()];
+        return {data.data(), 0, data.size()};
+    }
+    // A dynamic-bank port may touch any shard: every lane goes through
+    // memWord (an empty window).
+    if (u.dynamicBank)
+        return {};
+    // The addresses locate() maps into the port's shard s: from s's
+    // first address up, and below the next shard's unless s is last.
+    MemGroup &grp = *e.group;
+    const int s = u.shardIndex;
+    auto &ss = grp.state[s];
+    const auto &vmu = g_.unit(grp.shards[s]);
+    const int buf = e.bufPtr % vmu.bufferDepth;
+    if (write)
+        ss.lastWriteBuf = buf;
+    uint64_t size = static_cast<uint64_t>(vmu.bufferSize);
+    if (s + 1 < grp.numShards)
+        size = std::min(size, static_cast<uint64_t>(grp.interleave));
+    return {ss.buffers[buf].data(), s * grp.interleave, size};
+}
+
+void
 Simulator::readLanes(Engine &e, const int64_t *addrs)
 {
     const auto &u = *e.u;
     SARA_ASSERT(u.respOutput >= 0, u.name, ": read w/o response output");
-    const int lanes = e.activeLanes;
-    Element out = pool_.acquire(static_cast<size_t>(lanes));
-    for (int l = 0; l < lanes; ++l)
-        out[l] = memWord(e, addrs[l], false);
-    return out;
+    const MemWindow w = memWindow(e, false);
+    for (int l = 0; l < e.activeLanes; ++l) {
+        const double *word = w.word(addrs[l]);
+        e.resp[l] = word ? *word : memWord(e, addrs[l], false);
+    }
 }
 
 void
@@ -996,9 +1066,14 @@ Simulator::writeLanes(Engine &e, const int64_t *addrs)
 {
     const auto &u = *e.u;
     SARA_ASSERT(u.dataInput >= 0, u.name, ": write w/o data input");
-    const auto &data = fifos_[u.inputs[u.dataInput].stream.index()].front();
-    for (int l = 0; l < e.activeLanes; ++l)
-        memWord(e, addrs[l], true) = data.size() == 1 ? data[0] : data[l];
+    const LaneView data =
+        fifos_[u.inputs[u.dataInput].stream.index()].front();
+    const MemWindow w = memWindow(e, true);
+    for (int l = 0; l < e.activeLanes; ++l) {
+        double *word = w.word(addrs[l]);
+        (word ? *word : memWord(e, addrs[l], true)) =
+            data.size == 1 ? data[0] : data[l];
+    }
 }
 
 void
@@ -1067,14 +1142,14 @@ Simulator::evalLops(Engine &e)
         double *out = &e.lv[i * vec];
         if (lop.isStreamIn()) {
             const auto &in = u.inputs[lop.input];
-            const auto &elem = fifos_[in.stream.index()].front();
-            if (elem.size() == 1) {
+            const LaneView elem = fifos_[in.stream.index()].front();
+            if (elem.size == 1) {
                 for (int l = 0; l < lanes; ++l)
                     out[l] = elem[0];
             } else {
-                SARA_ASSERT(elem.size() >= static_cast<size_t>(lanes),
-                            u.name, ": stream element lanes ",
-                            elem.size(), " < active ", lanes);
+                SARA_ASSERT(elem.size >= lanes, u.name,
+                            ": stream element lanes ", elem.size,
+                            " < active ", lanes);
                 for (int l = 0; l < lanes; ++l)
                     out[l] = elem[l];
             }
@@ -1131,15 +1206,6 @@ Simulator::combinedOutputValue(Engine &e, const dfg::OutputBinding &ob)
     }
     int lane = std::max(0, e.activeLanes - 1);
     return e.lv[ob.lop * vec + lane];
-}
-
-Element
-Simulator::perFiringElement(Engine &e, const dfg::OutputBinding &ob)
-{
-    Element elem = pool_.acquire(static_cast<size_t>(e.activeLanes));
-    for (int l = 0; l < e.activeLanes; ++l)
-        elem[l] = e.lv[ob.lop * e.vec + l];
-    return elem;
 }
 
 void

@@ -237,6 +237,7 @@ class Simulator
   private:
     struct Engine;
     struct MemGroup;
+    struct MemWindow;
     struct DataWait;
     struct SpaceWait;
 
@@ -257,7 +258,6 @@ class Simulator
     // Firing work between the coroutine's awaits (plain functions).
     void evalLops(Engine &e);
     double combinedOutputValue(Engine &e, const dfg::OutputBinding &ob);
-    Element perFiringElement(Engine &e, const dfg::OutputBinding &ob);
     /** Reset the level-k reductions and start the loop at level k;
      *  false when it has no first iteration. */
     bool startLoop(Engine &e, int k);
@@ -270,8 +270,12 @@ class Simulator
      *  word in its current multibuffer copy (a write marks that copy
      *  as the shard's latest). */
     double &memWord(Engine &e, int64_t addr, bool write);
-    /** Gather the response lanes of a PMU-port or AG read. */
-    Element readLanes(Engine &e, const int64_t *addrs);
+    /** The words one firing of an AG or static-bank PMU port may touch,
+     *  resolved once per firing (a write marks the copy as latest). */
+    MemWindow memWindow(Engine &e, bool write);
+    /** Gather the response lanes of a PMU-port or AG read into the
+     *  engine's response buffer. */
+    void readLanes(Engine &e, const int64_t *addrs);
     /** Scatter the data-input lanes of a PMU-port or AG write. */
     void writeLanes(Engine &e, const int64_t *addrs);
     /** Coalesce AG lanes into DRAM bursts for the end-of-cycle arbiter. */
@@ -339,8 +343,6 @@ class Simulator
      *  populated when tracing (same gate as trace_). */
     std::array<telemetry::TimeSeries, 16> regionSeries_;
     std::array<uint64_t, 16> regionFirings_{};
-    /** Recycled Element lane buffers for the fire path. */
-    ElementPool pool_;
     telemetry::TimeSeries dramOutstandingSeries_{4096, 8};
     telemetry::TimeSeries dramBytesSeries_{4096, 8};
 

@@ -4,11 +4,12 @@
  * the global operator new with a counting one (test-only: src/ defines
  * no allocation operators). Each case runs one simulation first, then
  * counts every heap allocation made inside a second Simulator::run() —
- * coroutine frames, NoC flits, FIFO elements and scheduler storage
- * alike — and bounds it per firing. Each engine runs as one coroutine
- * frame allocated from the heap, so a frame per firing would read at
- * least one allocation per firing: the gate also pins the one-frame
- * structure.
+ * coroutine frames, NoC flits, FIFO storage and scheduler storage
+ * alike — and bounds it below 0.1 per firing. Each engine runs as one
+ * coroutine frame allocated from the heap, so a frame per firing would
+ * read at least one allocation per firing, and an element buffer per
+ * pushed firing (rather than the streams' preallocated rings) would
+ * read more than 0.1: the gate pins both.
  */
 
 #include <gtest/gtest.h>
@@ -79,7 +80,7 @@ class FirePathAllocs : public testing::TestWithParam<AllocCase>
 {
 };
 
-TEST_P(FirePathAllocs, WarmRunAllocatesUnderHalfPerFiring)
+TEST_P(FirePathAllocs, WarmRunAllocatesUnderTenthPerFiring)
 {
     const AllocCase &c = GetParam();
     workloads::WorkloadConfig cfg;
@@ -114,7 +115,7 @@ TEST_P(FirePathAllocs, WarmRunAllocatesUnderHalfPerFiring)
     ASSERT_GT(r.totalFirings, 0u);
     double perFiring = static_cast<double>(allocs) /
                        static_cast<double>(r.totalFirings);
-    EXPECT_LT(perFiring, 0.5)
+    EXPECT_LT(perFiring, 0.1)
         << allocs << " allocations over " << r.totalFirings
         << " firings";
 }

@@ -11,7 +11,9 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
 
 #include "dram/dram.h"
 #include "fault/fault.h"
@@ -48,6 +50,13 @@ TEST(Scheduler, OrdersEventsByTimeThenSeq)
     EXPECT_EQ(sched.now(), 5u);
 }
 
+/** Push one 1-lane element. */
+void
+pushValue(FifoState &f, double v)
+{
+    f.push(&v, 1);
+}
+
 TEST(Fifo, LatencyAndOrder)
 {
     Scheduler sched;
@@ -59,9 +68,10 @@ TEST(Fifo, LatencyAndOrder)
     FifoState f;
     f.init(sched, spec);
 
-    f.push({1.0});
-    f.pushWithDelay({2.0}, 10); // Arrives later.
-    f.push({3.0});              // Must not overtake element 2.
+    const double two = 2.0;
+    pushValue(f, 1.0);
+    f.pushWithDelay(&two, 1, 10); // Arrives later.
+    pushValue(f, 3.0);            // Must not overtake element 2.
     EXPECT_TRUE(f.empty());
     sched.run();
     ASSERT_EQ(f.occupancy(), 3u);
@@ -84,23 +94,147 @@ TEST(Fifo, CreditWindowIsDepthPlusLatency)
     f.init(sched, spec);
     for (int i = 0; i < 5; ++i) {
         EXPECT_TRUE(f.hasSpace()) << i;
-        f.push({static_cast<double>(i)});
+        pushValue(f, static_cast<double>(i));
     }
     EXPECT_FALSE(f.hasSpace());
 }
 
 TEST(Fifo, InitTokens)
 {
+    // A token stream keeps counts only: pre-filled credits are stored
+    // at once, a pushed token arrives after the latency, and the window
+    // never closes.
     Scheduler sched;
     dfg::Stream spec;
     spec.kind = dfg::StreamKind::Token;
     spec.initTokens = 2;
+    spec.latency = 2;
     FifoState f;
     f.init(sched, spec);
     EXPECT_EQ(f.occupancy(), 2u);
+    f.push();
+    EXPECT_EQ(f.occupancy(), 3u);
+    EXPECT_EQ(f.front().size, 0);
     f.pop();
+    f.pop();
+    EXPECT_TRUE(f.empty()); // The pushed token is still in flight.
+    EXPECT_EQ(f.occupancy(), 1u);
+    sched.run();
+    EXPECT_EQ(sched.now(), 2u);
     f.pop();
     EXPECT_TRUE(f.empty());
+    EXPECT_EQ(f.occupancy(), 0u);
+    EXPECT_EQ(f.highWater(), 3u);
+    EXPECT_EQ(f.pushes(), 1u);
+    EXPECT_EQ(f.pops(), 3u);
+    EXPECT_EQ(f.capacity(), UINT64_MAX);
+}
+
+TEST(Fifo, RingWrapsWithMixedElementWidths)
+{
+    // Full-width, partial and 1-lane elements cycle through a 4-slot
+    // ring five times. The window refills as soon as a pop frees a
+    // credit, so pops run with pushes still in flight; each pop must
+    // see the lanes and the lane count its element was pushed with, in
+    // push order.
+    Scheduler sched;
+    dfg::Stream spec;
+    const uint64_t latency = 2;
+    spec.name = "mixed";
+    spec.vec = 4;
+    spec.depth = 2;
+    spec.latency = static_cast<int>(latency);
+    FifoState f;
+    f.init(sched, spec);
+    ASSERT_EQ(f.capacity(), 4u);
+
+    // Element i: 4, 3 or 1 lanes valued 10 * i + lane.
+    auto element = [](int i) {
+        std::vector<double> v(i % 3 == 0 ? 4 : i % 3 == 1 ? 3 : 1);
+        for (size_t l = 0; l < v.size(); ++l)
+            v[l] = 10.0 * i + static_cast<double>(l);
+        return v;
+    };
+    const int n = 20;
+    int pushed = 0, popped = 0;
+    std::vector<uint64_t> pushAt;
+    uint64_t cycle = 0, poppedWithInflight = 0;
+    while (popped < n) {
+        while (pushed < n && f.hasSpace()) {
+            std::vector<double> v = element(pushed++);
+            f.push(v.data(), static_cast<int>(v.size()));
+            pushAt.push_back(sched.now());
+        }
+        sched.run(++cycle); // Deliver what is due by `cycle`.
+        if (f.empty())
+            continue;
+        std::vector<double> want = element(popped);
+        LaneView got = f.front();
+        ASSERT_EQ(got.size, static_cast<int>(want.size())) << popped;
+        for (int l = 0; l < got.size; ++l)
+            EXPECT_DOUBLE_EQ(got[l], want[l]) << popped << " lane " << l;
+        f.pop();
+        ++popped;
+        for (int i = popped; i < pushed; ++i) {
+            if (pushAt[i] + latency > sched.now()) {
+                ++poppedWithInflight; // Element i is still in flight.
+                break;
+            }
+        }
+    }
+    EXPECT_TRUE(f.empty());
+    EXPECT_EQ(f.occupancy(), 0u);
+    EXPECT_GT(poppedWithInflight, 0u);
+    EXPECT_EQ(f.pushes(), static_cast<uint64_t>(n));
+    EXPECT_EQ(f.pops(), static_cast<uint64_t>(n));
+    EXPECT_EQ(f.highWater(), 4u);
+}
+
+TEST(Fifo, DataStreamInitTokensOutnumberingTheWindow)
+{
+    // Pre-filled credits may outnumber depth + latency: each reads as
+    // an empty element, and the window reopens only once occupancy
+    // drops below it.
+    Scheduler sched;
+    dfg::Stream spec;
+    spec.name = "prefilled";
+    spec.depth = 1;
+    spec.latency = 1;
+    spec.initTokens = 4;
+    FifoState f;
+    f.init(sched, spec);
+    EXPECT_EQ(f.occupancy(), 4u);
+    EXPECT_FALSE(f.hasSpace());
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(f.front().size, 0) << i;
+        f.pop();
+    }
+    ASSERT_TRUE(f.hasSpace());
+    pushValue(f, 7.0);
+    f.pop();
+    sched.run();
+    ASSERT_FALSE(f.empty());
+    EXPECT_EQ(f.front().size, 1);
+    EXPECT_DOUBLE_EQ(f.front()[0], 7.0);
+}
+
+TEST(Fifo, PushWiderThanTheSlotPanics)
+{
+    // Slots are as wide as the widest of the producer's SIMD width and
+    // the stream's vec; a wider push is a simulator bug, not a resize.
+    Scheduler sched;
+    dfg::Stream spec;
+    spec.name = "narrow";
+    spec.vec = 2;
+    const double lanes[5] = {1, 2, 3, 4, 5};
+    FifoState byVec;
+    byVec.init(sched, spec);
+    byVec.push(lanes, 2);
+    EXPECT_THROW(byVec.push(lanes, 3), PanicError);
+    FifoState byProducer;
+    byProducer.init(sched, spec, /*width=*/4);
+    byProducer.push(lanes, 4);
+    EXPECT_THROW(byProducer.push(lanes, 5), PanicError);
 }
 
 // --- Credit-window edge cases ---------------------------------------------
@@ -113,7 +247,7 @@ creditedProducer(Scheduler &sched, FifoState &f, int n,
     for (int i = 0; i < n; ++i) {
         while (!f.hasSpace())
             co_await f.spaceCv.wait();
-        f.push({static_cast<double>(i)});
+        pushValue(f, static_cast<double>(i));
         pushAt.push_back(sched.now());
     }
 }
@@ -607,6 +741,104 @@ TEST(CycleIdentity, InjectedReplayGoldens)
         EXPECT_EQ(r.sim.cycles, row.cycles)
             << row.workload << " " << row.spec << " seed " << row.seed;
     }
+}
+
+// ---------------------------------------------------------------------
+// Memory bounds checks. The fire path resolves a firing's shard, buffer
+// copy and base once and indexes lanes from there; every lane must
+// still pass the per-lane bounds, in every build.
+// ---------------------------------------------------------------------
+
+/** Compile `name` at `par`, let `sabotage` edit the compiled program
+ *  and graph, run, and return the message of the PanicError run()
+ *  throws. DRAM inputs that no longer fit their tensor stay zero. */
+std::string
+sabotagedRunPanic(
+    const std::string &name, int par,
+    const std::function<void(ir::Program &, dfg::Vudfg &)> &sabotage)
+{
+    workloads::WorkloadConfig cfg;
+    cfg.par = par;
+    auto w = workloads::buildByName(name, cfg);
+    compiler::CompilerOptions opt;
+    opt.pnrIterations = 200;
+    auto compiled = compiler::compile(w.program, opt);
+    sabotage(compiled.program, compiled.lowering.graph);
+    sim::Simulator simulator(compiled.program, compiled.lowering.graph,
+                             dram::DramSpec::hbm2());
+    for (const auto &[tid, data] : w.dramInputs) {
+        ir::TensorId id(tid);
+        if (data.size() ==
+            static_cast<size_t>(compiled.program.tensor(id).size))
+            simulator.setDramTensor(id, data);
+    }
+    try {
+        simulator.run();
+    } catch (const PanicError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << name << ": run() did not panic";
+    return "";
+}
+
+/** Shrink to one word the DRAM tensor of the first AG accessing it in
+ *  direction `dir`. */
+void
+shrinkAgTensor(ir::Program &p, dfg::Vudfg &g, dfg::AccessDir dir)
+{
+    for (const auto &u : g.units()) {
+        if (u.kind == dfg::VuKind::Ag && u.dir == dir) {
+            p.tensor(u.tensor).size = 1;
+            return;
+        }
+    }
+    FAIL() << "no AG in that direction";
+}
+
+TEST(MemoryChecks, DramAccessOutOfBoundsPanics)
+{
+    std::string why = sabotagedRunPanic(
+        "ms", 4, [](ir::Program &p, dfg::Vudfg &g) {
+            shrinkAgTensor(p, g, dfg::AccessDir::Read);
+        });
+    EXPECT_NE(why.find("DRAM read OOB"), std::string::npos) << why;
+    why = sabotagedRunPanic("ms", 4, [](ir::Program &p, dfg::Vudfg &g) {
+        shrinkAgTensor(p, g, dfg::AccessDir::Write);
+    });
+    EXPECT_NE(why.find("DRAM write OOB"), std::string::npos) << why;
+}
+
+TEST(MemoryChecks, ShardOffsetOutOfBoundsPanics)
+{
+    std::string why =
+        sabotagedRunPanic("ms", 4, [](ir::Program &, dfg::Vudfg &g) {
+            for (auto &u : g.units())
+                if (u.kind == dfg::VuKind::Memory)
+                    u.bufferSize = 1;
+        });
+    EXPECT_NE(why.find("shard offset OOB"), std::string::npos) << why;
+}
+
+TEST(MemoryChecks, StaticPortLeavingItsShardPanics)
+{
+    // lstm par 4 shards its weight buffer four ways, one static read
+    // port per shard; moving a port to the next shard leaves every
+    // address it issues outside its shard.
+    std::string why =
+        sabotagedRunPanic("lstm", 4, [](ir::Program &, dfg::Vudfg &g) {
+            for (auto &u : g.units()) {
+                if (u.kind != dfg::VuKind::MemPort || u.dynamicBank)
+                    continue;
+                const int shards = g.unit(u.memUnit).numShards;
+                if (shards > 1) {
+                    u.shardIndex = (u.shardIndex + 1) % shards;
+                    return;
+                }
+            }
+            FAIL() << "no static port on a sharded tensor";
+        });
+    EXPECT_NE(why.find("static port touched shard"), std::string::npos)
+        << why;
 }
 
 /** A deadlocked run must still flush the trace before panicking —
