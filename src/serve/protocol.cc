@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include "support/logging.h"
+#include "workloads/workload.h"
 
 namespace sara::serve {
 
@@ -119,8 +120,11 @@ parseRequest(const std::string &line)
         r.workload = stringField(v, "workload", "");
         if (r.workload.empty())
             fatal("verb '", verb, "' requires a 'workload' field");
-        r.par = intField(v, "par", 16, 1, 4096);
-        r.scale = intField(v, "scale", 1, 1, 1024);
+        using workloads::WorkloadConfig;
+        r.par = intField(v, "par", 16, WorkloadConfig::kMinPar,
+                         WorkloadConfig::kMaxPar);
+        r.scale = intField(v, "scale", 1, WorkloadConfig::kMinScale,
+                           WorkloadConfig::kMaxScale);
         r.noc = boolField(v, "noc", false);
         r.check = boolField(v, "check", false);
         const json::Value *mc = v.find("max_cycles");

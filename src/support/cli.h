@@ -78,6 +78,18 @@ class CliArgs
         return toNumber<T>(value());
     }
 
+    /** As number(); a value outside [lo, hi] fails naming the range. */
+    template <typename T>
+    T
+    number(T lo, T hi)
+    {
+        T v = number<T>();
+        if (v < lo || v > hi)
+            fail(arg_ + " " + std::to_string(v) + " out of range [" +
+                 std::to_string(lo) + ", " + std::to_string(hi) + "]");
+        return v;
+    }
+
     /** One number of the current flag's value (e.g. part of it). */
     template <typename T>
     T

@@ -23,6 +23,11 @@ namespace sara::workloads {
 /** Build-time knobs. */
 struct WorkloadConfig
 {
+    /** Accepted `par` and `scale` values (sarac flags and sarad
+     *  requests alike). */
+    static constexpr int kMinPar = 1, kMaxPar = 4096;
+    static constexpr int kMinScale = 1, kMaxScale = 1024;
+
     /** Primary parallelization factor (split across the kernel's
      *  loops the way §IV-A describes: innermost vectorization first,
      *  then outer unrolling). */

@@ -120,6 +120,20 @@ TEST(Cli, UsageErrorsExitTwo)
           "ms --par 4 --chip foo", "ms --par 4 --control foo",
           "ms --par 4 --partitioner foo"})
         expectUsageError(SARAC_PATH, args);
+    // --par and --scale outside the ranges sarad requests accept
+    // (--par 0 used to die of SIGFPE, --scale 0 of an internal
+    // assertion); the reason names the range.
+    for (const auto &[args, range] :
+         {std::pair{"mlp --par 0", "[1, 4096]"}, {"rf --par 0", "[1, 4096]"},
+          {"sort --par 0", "[1, 4096]"}, {"mlp --par -4", "[1, 4096]"},
+          {"mlp --par 4097", "[1, 4096]"}, {"mlp --scale 0", "[1, 1024]"},
+          {"mlp --scale -1", "[1, 1024]"},
+          {"mlp --scale 1025", "[1, 1024]"}}) {
+        expectUsageError(SARAC_PATH, args);
+        auto err = runTool(SARAC_PATH, args, "2>&1 >/dev/null");
+        EXPECT_NE(err.output.find(range), std::string::npos)
+            << args << ": " << err.output;
+    }
     // A value sarad wrongly accepted would start serving: the timeout
     // turns that into a failed check instead of a hung test.
     for (const char *args :

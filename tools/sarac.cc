@@ -19,8 +19,8 @@
  *                      to IR (a per-layer table shows the par splits),
  *                      and then flows through the same compile /
  *                      simulate / verify pipeline
- *   --par N            parallelization factor (default 16)
- *   --scale N          problem-size multiplier (default 1)
+ *   --par N            parallelization factor, 1-4096 (default 16)
+ *   --scale N          problem-size multiplier, 1-1024 (default 1)
  *   --dram hbm2|ddr3   DRAM technology (default hbm2)
  *   --chip paper|vanilla|tiny
  *   --control cmmc|fsm vanilla-PC control scheme with fsm
@@ -525,9 +525,12 @@ realMain(int argc, char **argv)
         } else if (args.is("-j")) {
             cli.threads = args.number<int>();
         } else if (args.is("--par")) {
-            cli.cfg.par = args.number<int>();
+            cli.cfg.par = args.number(workloads::WorkloadConfig::kMinPar,
+                                      workloads::WorkloadConfig::kMaxPar);
         } else if (args.is("--scale")) {
-            cli.cfg.scale = args.number<int>();
+            cli.cfg.scale =
+                args.number(workloads::WorkloadConfig::kMinScale,
+                            workloads::WorkloadConfig::kMaxScale);
         } else if (args.is("--dram")) {
             cli.rc.dram = args.choice<dram::DramSpec>(
                 {{"hbm2", dram::DramSpec::hbm2()},
