@@ -57,7 +57,7 @@ struct BenchContext
 
     /** Usage text of the flags take() accepts. */
     static constexpr const char *kFlags =
-        "[-j N] [--cache] [--cache-dir DIR]";
+        "[-j 1-256] [--cache] [--cache-dir DIR]";
 
     /** Parse a command line of context flags only, then open(). */
     static BenchContext
@@ -77,7 +77,8 @@ struct BenchContext
     take(CliArgs &args)
     {
         if (args.is("-j")) {
-            threads = args.number<int>();
+            threads = args.number(jobs::BatchOptions::kMinThreads,
+                                  jobs::BatchOptions::kMaxThreads);
         } else if (args.is("--cache")) {
             useCache = true;
         } else if (args.is("--cache-dir")) {

@@ -23,7 +23,7 @@
  *                    in-process server (CI smoke uses this)
  *   --out FILE       report path (default BENCH_serve.json)
  *   --quick          shorter steps (CI)
- *   --workers N      in-process server worker threads (default 4)
+ *   --workers N      in-process server worker threads, 1-256 (default 4)
  *   --queue-depth N  in-process admission bound (default 32)
  */
 
@@ -186,7 +186,7 @@ main(int argc, char **argv)
     BenchOptions opt;
     CliArgs args(argc, argv,
                  "[--connect SOCKET] [--out FILE.json] [--quick] "
-                 "[--workers N] [--queue-depth N]");
+                 "[--workers 1-256] [--queue-depth N]");
     while (args.next()) {
         if (args.is("--connect"))
             opt.connect = args.value();
@@ -195,7 +195,8 @@ main(int argc, char **argv)
         else if (args.is("--quick"))
             opt.quick = true;
         else if (args.is("--workers"))
-            opt.workers = args.number<int>();
+            opt.workers = args.number(jobs::BatchOptions::kMinThreads,
+                                      jobs::BatchOptions::kMaxThreads);
         else if (args.is("--queue-depth"))
             opt.queueDepth = args.number<size_t>();
         else

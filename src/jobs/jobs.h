@@ -63,6 +63,12 @@ struct JobOutcome
 /** Batch configuration. */
 struct BatchOptions
 {
+    /** Accepted worker-thread counts (`-j`, `--workers`) and transient
+     *  retries (`--retries`) on every command line; leaving the thread
+     *  flag out means all cores. */
+    static constexpr int kMinThreads = 1, kMaxThreads = 256;
+    static constexpr int kMinRetries = 0, kMaxRetries = 100;
+
     /** Worker threads; 0 = std::thread::hardware_concurrency(). */
     int threads = 0;
     /** Stop launching new jobs after the first failure. */

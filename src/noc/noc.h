@@ -78,8 +78,6 @@ struct NocStats
     uint64_t queueCycles = 0;  ///< Total flit-cycles spent queued.
     uint64_t peakInflight = 0; ///< Peak flits in the network at once.
     std::vector<LinkUse> linkUse; ///< Sorted by (x, y, dir).
-    telemetry::TimeSeries load;   ///< Flits in flight over time.
-    telemetry::TimeSeries busyLinks; ///< Links with queued flits.
 };
 
 /**
@@ -153,6 +151,11 @@ class NocModel
     uint64_t inflight() const { return inflight_; }
 
     NocStats stats() const;
+
+    /** Flits in flight over time (sampled on every inject/deliver). */
+    const telemetry::TimeSeries &loadSeries() const { return loadSeries_; }
+    /** Links with queued flits over time. */
+    const telemetry::TimeSeries &busySeries() const { return busySeries_; }
 
   private:
     /** One in-network element (all lanes of one firing). */

@@ -661,7 +661,6 @@ Server::executeCompileOrRun(const Request &req, double queueMs,
         rc.compiler = copt;
         rc.check = req.check;
         rc.sim.useNoc = req.noc;
-        rc.sim.hangDiagnosis = true;
         rc.sim.cancel = cancel;
         if (req.maxCycles)
             rc.sim.maxCycles = req.maxCycles;

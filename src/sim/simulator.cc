@@ -1129,7 +1129,6 @@ Simulator::trackOutstanding(Engine &e, uint64_t completeAt, bool timedOut)
 void
 Simulator::evalLops(Engine &e)
 {
-    telemetry::ScopedPhase phase(telemetry::HostPhase::FirePath);
     const auto &u = *e.u;
     const int vec = e.vec;
     const int lanes = e.activeLanes;
@@ -1285,14 +1284,7 @@ Simulator::run()
         sched_.scheduleAt(e->task.handle(), 0);
     }
 
-    uint64_t end;
-    {
-        // The drain loop is attributed to the Scheduler bucket; inner
-        // markers (fire path, NoC arbitration, DRAM model, CV waits)
-        // re-attribute their own synchronous slices.
-        telemetry::ScopedPhase phase(telemetry::HostPhase::Scheduler);
-        end = sched_.run(opt_.maxCycles, opt_.cancel);
-    }
+    uint64_t end = sched_.run(opt_.maxCycles, opt_.cancel);
 
     if (sched_.cancelled())
         reportCancelled();
@@ -1349,8 +1341,6 @@ Simulator::assembleResult(uint64_t end)
         fs.capacity = f.capacity();
         result.fifoStats.push_back(std::move(fs));
     }
-    result.dramOutstanding = dramOutstandingSeries_;
-    result.dramBytesSeries = dramBytesSeries_;
     result.hostEvents = sched_.eventsExecuted();
     result.wakeups = wakeups_;
     result.spuriousWakeups = spuriousWakeups_;
@@ -1614,11 +1604,10 @@ Simulator::writeTrace(const fault::FailureReport *failure) const
     if (noc_) {
         // Link-load tracks: flits inside the network and links with a
         // queued flit, sampled on every inject/deliver transition.
-        noc::NocStats ns = noc_->stats();
-        for (const auto &[t, v] : ns.load.samples())
+        for (const auto &[t, v] : noc_->loadSeries().samples())
             w.counter(kSimPid, "noc-link-load", static_cast<double>(t),
                       "flits", v);
-        for (const auto &[t, v] : ns.busyLinks.samples())
+        for (const auto &[t, v] : noc_->busySeries().samples())
             w.counter(kSimPid, "noc-busy-links", static_cast<double>(t),
                       "links", v);
     }
@@ -1721,35 +1710,8 @@ Simulator::buildWaitGraph() const
 void
 Simulator::reportHang()
 {
-    if (!opt_.hangDiagnosis) {
-        // Flat escalation: flush the timeline first (the trace leading
-        // up to a hang is the evidence needed to diagnose it), then
-        // panic with every blocked engine and its stall histogram so
-        // the hang is attributable even without diagnosis.
-        if (!opt_.traceFile.empty())
-            writeTrace();
-        std::string report = "simulation deadlock; blocked engines:";
-        for (const auto &e : engines_) {
-            if (!e || e->finished)
-                continue;
-            report += "\n  " + e->u->name + ": waiting on " +
-                      std::string(e->blockReason) + " [" +
-                      e->blockDetail + "]";
-            if (e->stats.stallTotal() > 0) {
-                report += "; stalls:";
-                for (int c = 0; c < kNumStallCauses; ++c) {
-                    if (e->stats.stallCycles[c] == 0)
-                        continue;
-                    report += std::string(" ") +
-                              stallCauseName(static_cast<StallCause>(c)) +
-                              "=" +
-                              std::to_string(e->stats.stallCycles[c]);
-                }
-            }
-        }
-        panic(report);
-    }
-
+    // The trace leading up to a hang is the evidence needed to
+    // diagnose it: flush it, annotated with the classification.
     fault::FailureReport fr =
         fault::classify(buildWaitGraph(), opt_.fault, sched_.now());
     buildTimeline(fr);
@@ -1766,17 +1728,11 @@ Simulator::reportBudgetExceeded()
     // The cycle budget is a livelock tripwire: events were still
     // firing when the budget ran out, so the run was spinning rather
     // than quiescing. Escalate through the same classified-failure
-    // surface as a drained-queue hang (exit 4); with diagnosis the
-    // wait-for graph over the unfinished engines is classified — no
-    // cycle closes over a spinning engine, so a true livelock lands
-    // in starvation-livelock, while a budget blown by an injected
+    // surface as a drained-queue hang (exit 4): the wait-for graph
+    // over the unfinished engines is classified — no cycle closes over
+    // a spinning engine, so a true livelock lands in
+    // starvation-livelock, while a budget blown by an injected
     // permanent fault is still pinned on the injection site.
-    if (!opt_.hangDiagnosis) {
-        if (!opt_.traceFile.empty())
-            writeTrace();
-        panic("simulation exceeded ", opt_.maxCycles,
-              " cycles; livelock or runaway workload");
-    }
     fault::FailureReport fr =
         fault::classify(buildWaitGraph(), opt_.fault, sched_.now());
     fr.budgetExceeded = true;

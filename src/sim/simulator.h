@@ -25,11 +25,11 @@
  *     across lanes) and level-k inputs pop.
  *
  * Deadlocks (CMMC bugs, mis-leveled streams) are detected when the
- * event queue drains with unfinished engines; the report lists every
- * blocked engine, what it waits on, and its stall-cause histogram.
- * With SimOptions::hangDiagnosis the flat panic is replaced by a
- * wait-for-graph classification (true deadlock vs starvation vs
- * injected fault) thrown as a structured fault::HangError.
+ * event queue drains with unfinished engines. The wait-for graph over
+ * the blocked engines is classified (true deadlock vs starvation vs
+ * injected fault) and thrown as a structured fault::HangError, whose
+ * message lists every blocked engine, what it waits on, and its
+ * stall-cause histogram.
  */
 
 #include <array>
@@ -83,11 +83,6 @@ struct SimOptions
      *  injector are cycle-identical to builds without the subsystem.
      *  Not owned; must outlive the simulator. */
     const fault::FaultInjector *fault = nullptr;
-    /** On a hang, build the wait-for graph over tokens, credits, FIFO
-     *  slots and NoC link reservations, classify deadlock vs
-     *  starvation vs injected fault, and throw a structured
-     *  fault::HangError instead of the flat deadlock panic. */
-    bool hangDiagnosis = false;
     /** Core-grid dimensions for the per-unit counter file and the
      *  `--counters` heatmap (filled from arch::PlasticineSpec by the
      *  runtime layer; fringe AGs sit at x = -1 / x = fabricCols). */
@@ -193,10 +188,6 @@ struct SimResult
     std::array<uint64_t, kNumStallCauses> stallTotals{};
     /** Per-stream pressure (indexed by StreamId). */
     std::vector<FifoStats> fifoStats;
-    /** Sampled DRAM telemetry: outstanding requests across all AGs,
-     *  and cumulative bytes transferred (both vs. cycle). */
-    telemetry::TimeSeries dramOutstanding;
-    telemetry::TimeSeries dramBytesSeries;
     /** Network statistics (enabled=false on fixed-latency runs). */
     noc::NocStats noc;
     /** Final memory contents per tensor id (reconstructed across

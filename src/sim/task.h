@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "support/hostprof.h"
 #include "support/logging.h"
 
 namespace sara::sim {
@@ -382,7 +381,6 @@ class CondVar
     void
     park(Scheduler::EventFn fn, void *arg, bool atCursor = false)
     {
-        telemetry::ScopedPhase phase(telemetry::HostPhase::CvWait);
         size_t pos = atCursor || wakeInFlight_
                          ? std::min(cursor_, waiters_.size())
                          : waiters_.size();
@@ -411,7 +409,6 @@ class CondVar
     {
         if (waiters_.empty())
             return;
-        telemetry::ScopedPhase phase(telemetry::HostPhase::CvWait);
         const Waiter w = waiters_.front();
         sched_->scheduleFnAt(w.fn, w.arg, sched_->now());
         waiters_.erase(waiters_.begin());

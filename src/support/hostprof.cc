@@ -7,20 +7,6 @@ namespace sara::telemetry {
 std::atomic<bool> HostProfiler::enabledFlag_{false};
 std::atomic<uint8_t> HostProfiler::currentPhase_{0};
 
-const char *
-hostPhaseName(HostPhase phase)
-{
-    switch (phase) {
-      case HostPhase::Other: return "other";
-      case HostPhase::Scheduler: return "scheduler";
-      case HostPhase::CvWait: return "cv-wait";
-      case HostPhase::FirePath: return "fire-path";
-      case HostPhase::NocArb: return "noc-arb";
-      case HostPhase::Dram: return "dram";
-    }
-    return "?";
-}
-
 HostProfiler &
 HostProfiler::global()
 {

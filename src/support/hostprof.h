@@ -4,10 +4,9 @@
 /**
  * @file
  * Host sampling profiler: attributes simulator *wall-clock* time (not
- * simulated cycles) to coarse phase buckets so the perf harness can
- * see where Mcycles/s actually goes — scheduler drain vs. CV wait
- * bookkeeping vs. the fire path vs. NoC arbitration vs. the DRAM
- * model.
+ * simulated cycles) to coarse phase buckets, so a traced benchmark run
+ * can split a simulation's wall time into NoC arbitration, the DRAM
+ * model and everything else.
  *
  * Design: a steady-clock sampler thread periodically reads a global
  * "current phase" atomic and bumps that bucket's count; hot paths mark
@@ -17,7 +16,7 @@
  * markers must cover *synchronous* code only: a coroutine suspension
  * inside the scope would leak the phase across unrelated work.
  *
- * The profiler is process-global and single-run oriented (bench_perf
+ * The profiler is process-global and single-run oriented (the caller
  * wraps one simulation at a time); parallel batch jobs simply leave it
  * disabled, and markers then cost the one branch.
  */
@@ -30,16 +29,11 @@ namespace sara::telemetry {
 
 /** Wall-time attribution buckets for the simulator event core. */
 enum class HostPhase : uint8_t {
-    Other = 0,  ///< Outside the marked regions (compile, I/O, ...).
-    Scheduler,  ///< Event-loop drain and coroutine resume glue.
-    CvWait,     ///< CondVar park/notify wait-list bookkeeping.
-    FirePath,   ///< Datapath evaluation (evalLops and friends).
-    NocArb,     ///< NoC link polling and round-robin arbitration.
-    Dram,       ///< DRAM timing model (row hits, bus scheduling).
+    Other = 0, ///< Outside the marked regions (event core, compile, ...).
+    NocArb,    ///< NoC link polling and round-robin arbitration.
+    Dram,      ///< DRAM timing model (row hits, bus scheduling).
 };
-inline constexpr int kNumHostPhases = 6;
-
-const char *hostPhaseName(HostPhase phase);
+inline constexpr int kNumHostPhases = 3;
 
 class HostProfiler
 {

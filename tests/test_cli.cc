@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <tuple>
 
 namespace {
 
@@ -134,12 +135,36 @@ TEST(Cli, UsageErrorsExitTwo)
         EXPECT_NE(err.output.find(range), std::string::npos)
             << args << ": " << err.output;
     }
-    // A value sarad wrongly accepted would start serving: the timeout
-    // turns that into a failed check instead of a hung test.
+    // Thread counts outside [1, 256] and retries outside [0, 100]
+    // (--retries 2147483647 would overflow the attempt count). An
+    // over-range thread count is tested with 257, never a huge value:
+    // a binary that wrongly accepted it would start that many threads.
+    const std::string sarad = std::string("timeout 10 ") + SARAD_PATH;
+    const std::string bench = std::string("timeout 10 ") + BENCH_DIR;
+    for (const auto &[binary, args, range] :
+         {std::tuple{std::string(SARAC_PATH), "--batch ms -j 0", "[1, 256]"},
+          {SARAC_PATH, "--batch ms -j -2", "[1, 256]"},
+          {SARAC_PATH, "--batch ms -j 257", "[1, 256]"},
+          {SARAC_PATH, "ms --retries -1", "[0, 100]"},
+          {SARAC_PATH, "ms --retries 101", "[0, 100]"},
+          {SARAC_PATH, "ms --retries 2147483647", "[0, 100]"},
+          // A value sarad wrongly accepted would start serving: the
+          // timeout turns that into a failed check, not a hung test.
+          {sarad, "--workers 0", "[1, 256]"},
+          {sarad, "--workers 257", "[1, 256]"},
+          {sarad, "--retries -1", "[0, 100]"},
+          {sarad, "--retries 2147483647", "[0, 100]"},
+          {bench + "/bench_fig10_opts", "-j 0", "[1, 256]"},
+          {bench + "/bench_serve", "--workers 257", "[1, 256]"}}) {
+        expectUsageError(binary, args);
+        auto err = runTool(binary, args, "2>&1 >/dev/null");
+        EXPECT_NE(err.output.find(range), std::string::npos)
+            << binary << " " << args << ": " << err.output;
+    }
     for (const char *args :
          {"--workers abc", "--max-conns zz", "--workers",
           "--queue-depth -1"})
-        expectUsageError(std::string("timeout 10 ") + SARAD_PATH, args);
+        expectUsageError(sarad, args);
 }
 
 TEST(Cli, HelpPrintsUsageOnStdoutAndExitsZero)
@@ -162,8 +187,8 @@ TEST(Cli, BenchBinariesFollowTheUsageContract)
 {
     for (const char *name :
          {"bench_chaos", "bench_fig9_scaling", "bench_fig10_opts",
-          "bench_fig11_partition", "bench_graph", "bench_perf",
-          "bench_serve", "bench_table5_pc", "bench_table6_gpu"}) {
+          "bench_fig11_partition", "bench_graph", "bench_serve",
+          "bench_table5_pc", "bench_table6_gpu"}) {
         std::string binary = std::string(BENCH_DIR) + "/" + name;
         auto help = runTool(binary, "--help", "2>/dev/null");
         EXPECT_EQ(help.exitCode, 0) << name;
@@ -228,14 +253,13 @@ TEST(Cli, ExhaustedCycleBudgetExitsNonzero)
 
 TEST(Cli, ExhaustedCycleBudgetClassifiedWithDiagnosis)
 {
-    // With --hang-diagnosis the overrun goes through the wait-for
-    // graph classifier: a structured failure report flagged as a
-    // budget overrun, classified livelock (no wait cycle closes over
-    // engines that are still making progress).
+    // The overrun goes through the wait-for graph classifier: a
+    // structured failure report flagged as a budget overrun,
+    // classified livelock (no wait cycle closes over engines that are
+    // still making progress).
     TempDir tmp("sara-cli-budget-test");
     std::string json = (tmp.path / "failure.json").string();
-    auto r = runSarac("ms --par 8 --max-cycles 10 --hang-diagnosis "
-                      "--json " + json);
+    auto r = runSarac("ms --par 8 --max-cycles 10 --json " + json);
     EXPECT_EQ(r.exitCode, 4) << r.output;
     EXPECT_NE(r.output.find("exceeded"), std::string::npos) << r.output;
     std::FILE *f = std::fopen(json.c_str(), "r");
@@ -340,7 +364,7 @@ TEST(Cli, InjectedHangIsClassifiedAndExitsFour)
     std::string json = (tmp.path / "failure.json").string();
     auto r = runSarac("ms --par 8 --noc "
                       "--inject stuck-credit:window=200-:delay=64 "
-                      "--hang-diagnosis --json " + json);
+                      "--json " + json);
     EXPECT_EQ(r.exitCode, 4) << r.output;
     EXPECT_NE(r.output.find("injected-fault-induced"),
               std::string::npos)

@@ -311,7 +311,6 @@ TEST(Timeline, HangReportCarriesRecentEvents)
     runtime::RunConfig rc;
     rc.check = false;
     rc.sim.fault = &inj;
-    rc.sim.hangDiagnosis = true;
     bool hung = false;
     try {
         runtime::runWorkload(w, rc);
@@ -352,7 +351,6 @@ TEST(Timeline, FlightDepthZeroDisablesIt)
     runtime::RunConfig rc;
     rc.check = false;
     rc.sim.fault = &inj;
-    rc.sim.hangDiagnosis = true;
     rc.sim.flightDepth = 0;
     bool hung = false;
     try {
@@ -370,22 +368,12 @@ TEST(Timeline, FlightDepthZeroDisablesIt)
 // Host sampling profiler.
 // ---------------------------------------------------------------------------
 
-TEST(HostProf, PhaseNamesAreStable)
-{
-    EXPECT_STREQ(hostPhaseName(HostPhase::Other), "other");
-    EXPECT_STREQ(hostPhaseName(HostPhase::Scheduler), "scheduler");
-    EXPECT_STREQ(hostPhaseName(HostPhase::CvWait), "cv-wait");
-    EXPECT_STREQ(hostPhaseName(HostPhase::FirePath), "fire-path");
-    EXPECT_STREQ(hostPhaseName(HostPhase::NocArb), "noc-arb");
-    EXPECT_STREQ(hostPhaseName(HostPhase::Dram), "dram");
-}
-
 TEST(HostProf, DisabledMarkersAreNoOps)
 {
     ASSERT_FALSE(HostProfiler::global().running());
     EXPECT_FALSE(HostProfiler::enabled());
     {
-        ScopedPhase p(HostPhase::FirePath); // One branch, no effect.
+        ScopedPhase p(HostPhase::NocArb); // One branch, no effect.
     }
     EXPECT_EQ(HostProfiler::global().totalSamples(), 0u);
 }
@@ -425,15 +413,15 @@ TEST(HostProf, NestedScopesRestoreOuterPhase)
     auto &prof = HostProfiler::global();
     prof.start(/*periodUs=*/100000); // Slow sampler; we test the marks.
     {
-        ScopedPhase outer(HostPhase::Scheduler);
+        ScopedPhase outer(HostPhase::Dram);
         {
             ScopedPhase inner(HostPhase::NocArb);
             EXPECT_EQ(HostProfiler::exchangePhase(HostPhase::NocArb),
                       HostPhase::NocArb);
         }
         // Inner scope restored the outer phase.
-        EXPECT_EQ(HostProfiler::exchangePhase(HostPhase::Scheduler),
-                  HostPhase::Scheduler);
+        EXPECT_EQ(HostProfiler::exchangePhase(HostPhase::Dram),
+                  HostPhase::Dram);
     }
     prof.stop();
 }

@@ -412,7 +412,6 @@ TEST(HangDiagnosis, StuckCreditHangIsClassifiedInjected)
         fault::FaultInjector inj(plan, 1);
         sim::SimOptions so;
         so.fault = &inj;
-        so.hangDiagnosis = true;
         std::string json;
         try {
             runSort(so, /*useNoc=*/true);
@@ -441,7 +440,6 @@ TEST(HangDiagnosis, DramTimeoutHangIsClassifiedInjected)
     fault::FaultInjector inj(plan, 1);
     sim::SimOptions so;
     so.fault = &inj;
-    so.hangDiagnosis = true;
     bool hung = false;
     try {
         runSort(so);
@@ -479,10 +477,8 @@ TEST(HangDiagnosis, GenuineHangIsNotBlamedOnInjection)
 {
     workloads::Workload w;
     auto compiled = sabotagedSgd(w);
-    sim::SimOptions so;
-    so.hangDiagnosis = true;
     sim::Simulator simulator(compiled.program, compiled.lowering.graph,
-                             dram::DramSpec::hbm2(), so);
+                             dram::DramSpec::hbm2());
     for (const auto &[tid, data] : w.dramInputs)
         simulator.setDramTensor(ir::TensorId(tid), data);
     bool hung = false;
@@ -508,24 +504,21 @@ TEST(HangDiagnosis, HangErrorIsAPanicError)
     // PanicError so sarac's existing catch chain maps it to exit 4.
     workloads::Workload w;
     auto compiled = sabotagedSgd(w);
-    sim::SimOptions so;
-    so.hangDiagnosis = true;
     sim::Simulator simulator(compiled.program, compiled.lowering.graph,
-                             dram::DramSpec::hbm2(), so);
+                             dram::DramSpec::hbm2());
     for (const auto &[tid, data] : w.dramInputs)
         simulator.setDramTensor(ir::TensorId(tid), data);
     EXPECT_THROW(simulator.run(), PanicError);
 }
 
-TEST(HangDiagnosis, FlatPanicIncludesStallHistograms)
+TEST(HangDiagnosis, HangMessageIncludesStallHistograms)
 {
-    // Without --hang-diagnosis the legacy panic fires, but it must now
-    // carry each blocked engine's stall-cause histogram.
+    // The hang message names what each blocked engine waits on and
+    // carries its stall-cause histogram.
     workloads::Workload w;
     auto compiled = sabotagedSgd(w);
-    sim::SimOptions so; // hangDiagnosis off.
     sim::Simulator simulator(compiled.program, compiled.lowering.graph,
-                             dram::DramSpec::hbm2(), so);
+                             dram::DramSpec::hbm2());
     for (const auto &[tid, data] : w.dramInputs)
         simulator.setDramTensor(ir::TensorId(tid), data);
     try {
@@ -535,7 +528,7 @@ TEST(HangDiagnosis, FlatPanicIncludesStallHistograms)
         std::string msg = e.what();
         EXPECT_NE(msg.find("waiting on"), std::string::npos);
         EXPECT_NE(msg.find("stalls:"), std::string::npos)
-            << "flat deadlock panic lost the stall histograms";
+            << "hang message lost the stall histograms";
     }
 }
 

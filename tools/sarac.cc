@@ -60,12 +60,8 @@
  *                      fifo-leak, artifact-flip, compile-fault
  *   --inject-seed N    seed for the injection hash (default 1); the
  *                      same seed replays a faulted run cycle-exactly
- *   --hang-diagnosis   on a hang, classify deadlock vs starvation vs
- *                      injected fault from the wait-for graph instead
- *                      of the flat panic; with --json the structured
- *                      FailureReport lands in the report file
  *   --retries N        retry jobs failing with a transient error up to
- *                      N times (batch mode)
+ *                      N times, 0-100 (batch mode)
  *
  * Artifacts & caching:
  *   --cache            compile through the artifact cache at the
@@ -75,14 +71,16 @@
  *   --emit-artifact F  serialize the compiled program to F
  *   --load-artifact F  simulate a saved artifact (skips compilation)
  *   --batch            run several workloads through the job scheduler
- *   -j N               batch worker threads (default: all cores)
+ *   -j N               batch worker threads, 1-256 (default: all
+ *                      cores)
  *   --metrics          dump telemetry counters (cache hits/misses,
  *                      job stats) before exiting
  *   --help, -h         print the usage on stdout and exit 0
  *
  * Exit codes: 0 success; 1 verification/batch-job failure; 2 usage;
- * 3 invalid input or configuration; 4 internal error (e.g. simulator
- * deadlock).
+ * 3 invalid input or configuration; 4 internal error (a simulator hang
+ * or an exhausted --max-cycles budget, classified from the wait-for
+ * graph; with --json the FailureReport lands in the report file).
  */
 
 #include <algorithm>
@@ -121,10 +119,10 @@ constexpr const char *kUsage =
     "             [--cache] [--cache-dir DIR] "
     "[--emit-artifact FILE] [--load-artifact FILE]\n"
     "             [--inject SPEC ...] [--inject-seed N] "
-    "[--hang-diagnosis] [--retries N]\n"
+    "[--retries 0-100]\n"
     "             [--metrics]\n"
     "       sarac --graph FILE [common options]\n"
-    "       sarac --batch [workload ...] [-j N] "
+    "       sarac --batch [workload ...] [-j 1-256] "
     "[common options]\n"
     "       sarac --list\n"
     "       sarac --help\n"
@@ -523,7 +521,8 @@ realMain(int argc, char **argv)
         } else if (args.is("--batch")) {
             cli.batch = true;
         } else if (args.is("-j")) {
-            cli.threads = args.number<int>();
+            cli.threads = args.number(jobs::BatchOptions::kMinThreads,
+                                      jobs::BatchOptions::kMaxThreads);
         } else if (args.is("--par")) {
             cli.cfg.par = args.number(workloads::WorkloadConfig::kMinPar,
                                       workloads::WorkloadConfig::kMaxPar);
@@ -580,10 +579,9 @@ realMain(int argc, char **argv)
             cli.faults.push_back(fault::parseFaultSpec(args.value()));
         } else if (args.is("--inject-seed")) {
             cli.injectSeed = args.number<uint64_t>();
-        } else if (args.is("--hang-diagnosis")) {
-            cli.rc.sim.hangDiagnosis = true;
         } else if (args.is("--retries")) {
-            cli.retries = args.number<int>();
+            cli.retries = args.number(jobs::BatchOptions::kMinRetries,
+                                      jobs::BatchOptions::kMaxRetries);
         } else if (args.is("--trace")) {
             cli.rc.sim.traceFile = args.value();
         } else if (args.is("--json")) {

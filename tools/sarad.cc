@@ -12,7 +12,7 @@
  *
  * Options:
  *   --socket PATH       listen here (default ./sarad.sock)
- *   --workers N         worker threads (default: all cores)
+ *   --workers N         worker threads, 1-256 (default: all cores)
  *   --queue-depth N     admission bound: max queued requests
  *                       (default 64); beyond it requests get a
  *                       structured `rejected` + retry_after_ms
@@ -22,7 +22,8 @@
  *   --mem-entries N     in-memory decoded-result LRU size (default 64)
  *   --tenant-weight T=W fair-share weight for tenant T (repeatable;
  *                       unlisted tenants weigh 1)
- *   --retries N         TransientError retries per request (default 1)
+ *   --retries N         TransientError retries per request, 0-100
+ *                       (default 1)
  *   --max-cycles N      per-request simulator cycle budget default
  *
  * Crash-only serving:
@@ -75,6 +76,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "jobs/jobs.h"
 #include "serve/server.h"
 #include "support/cli.h"
 #include "support/logging.h"
@@ -97,11 +99,11 @@ int
 realMain(int argc, char **argv)
 {
     CliArgs args(argc, argv,
-                 "[--socket PATH] [--workers N] [--queue-depth N]\n"
+                 "[--socket PATH] [--workers 1-256] [--queue-depth N]\n"
                  "             [--cache | --cache-dir DIR] "
                  "[--mem-entries N]\n"
                  "             [--tenant-weight TENANT=W ...] "
-                 "[--retries N]\n"
+                 "[--retries 0-100]\n"
                  "             [--max-cycles N] [--max-conns N]\n"
                  "             [--read-deadline-ms MS] "
                  "[--idle-timeout-ms MS]\n"
@@ -119,7 +121,8 @@ realMain(int argc, char **argv)
         if (args.is("--socket")) {
             opt.socketPath = args.value();
         } else if (args.is("--workers")) {
-            opt.workers = args.number<int>();
+            opt.workers = args.number(jobs::BatchOptions::kMinThreads,
+                                      jobs::BatchOptions::kMaxThreads);
         } else if (args.is("--queue-depth")) {
             opt.queueDepth = args.number<size_t>();
         } else if (args.is("--cache")) {
@@ -138,7 +141,9 @@ realMain(int argc, char **argv)
             opt.tenantWeights[spec.substr(0, eq)] =
                 args.toNumber<double>(spec.substr(eq + 1));
         } else if (args.is("--retries")) {
-            opt.maxAttempts = 1 + args.number<int>();
+            opt.maxAttempts =
+                1 + args.number(jobs::BatchOptions::kMinRetries,
+                                jobs::BatchOptions::kMaxRetries);
         } else if (args.is("--max-cycles")) {
             opt.defaultMaxCycles = args.number<uint64_t>();
         } else if (args.is("--max-conns")) {
