@@ -79,7 +79,7 @@ main(int argc, char **argv)
     // Do-while convergence loop: iterate until the total |delta|
     // drops under the threshold (data-dependent termination — the
     // accelerator runs autonomously with no host intervention).
-    auto W = b.beginWhile("converge");
+    b.beginWhile("converge");
     {
         auto v = b.beginLoop("v", 0, V, 1, /*par=*/4);
         b.beginBlock("bounds");

@@ -45,14 +45,12 @@ class Encoder
     void
     u32(uint32_t v)
     {
-        for (int i = 0; i < 4; ++i)
-            out_.push_back(static_cast<char>(v >> (i * 8)));
+        put<4>(v);
     }
     void
     u64(uint64_t v)
     {
-        for (int i = 0; i < 8; ++i)
-            out_.push_back(static_cast<char>(v >> (i * 8)));
+        put<8>(v);
     }
     void
     i32(int32_t v)
@@ -92,6 +90,17 @@ class Encoder
     std::string take() { return std::move(out_); }
 
   private:
+    /** The low N bytes of v, least significant first, in one append. */
+    template <int N>
+    void
+    put(uint64_t v)
+    {
+        char b[N];
+        for (int i = 0; i < N; ++i)
+            b[i] = static_cast<char>(v >> (i * 8));
+        out_.append(b, N);
+    }
+
     std::string out_;
 };
 

@@ -38,14 +38,6 @@ collectAccessors(const Program &p)
 
 namespace {
 
-/** Value lattice of an affine form: values lie in residue + gcd * Z. */
-struct Lattice
-{
-    bool valid = false;
-    int64_t gcd = 0; ///< 0: single value (residue only).
-    int64_t residue = 0;
-};
-
 Lattice
 formLattice(const Program &p, const AffineForm &form)
 {
@@ -66,34 +58,80 @@ formLattice(const Program &p, const AffineForm &form)
     return lat;
 }
 
-std::optional<std::pair<int64_t, int64_t>>
-fullSpan(const Program &p, const AffineForm &form)
+bool
+formInjective(const Program &p, const AffineForm &form)
 {
-    std::vector<CtrlId> loops;
-    for (const auto &[loop, c] : form.coeffs)
-        if (c != 0)
-            loops.push_back(loop);
-    return affineSpan(p, form, loops);
+    std::vector<std::pair<int64_t, int64_t>> terms; // (|c*step|, trips)
+    for (const auto &[l, c] : form.coeffs) {
+        if (c == 0)
+            continue;
+        const CtrlNode &n = p.ctrl(l);
+        if (n.kind != CtrlKind::Loop || !n.min.isConst ||
+            !n.max.isConst || !n.step.isConst)
+            return false;
+        int64_t trips =
+            (n.max.cval - n.min.cval + n.step.cval - 1) / n.step.cval;
+        if (trips <= 0)
+            return false;
+        terms.push_back({std::abs(c * n.step.cval), trips});
+    }
+    std::sort(terms.begin(), terms.end());
+    int64_t reach = 0;
+    for (const auto &[c, trips] : terms) {
+        if (c <= reach)
+            return false;
+        reach += c * (trips - 1);
+    }
+    return true;
 }
 
 } // namespace
 
-bool
-mayAlias(const Program &p, const Accessor &a, const Accessor &b)
+int64_t
+AddressFacts::coeff(CtrlId loop) const
 {
-    if (!a.form || !b.form)
+    for (const auto &[l, c] : coeffs)
+        if (l == loop)
+            return c;
+    return 0;
+}
+
+AddressFacts
+addressFacts(const Program &p, const Accessor &a)
+{
+    AddressFacts f;
+    if (!a.form)
+        return f;
+    const AffineForm &form = *a.form;
+    f.affine = true;
+    f.base = form.base;
+    std::vector<CtrlId> loops;
+    for (const auto &[loop, c] : form.coeffs) {
+        if (c == 0)
+            continue;
+        f.coeffs.push_back({loop, c});
+        loops.push_back(loop);
+    }
+    f.span = affineSpan(p, form, loops);
+    f.lattice = formLattice(p, form);
+    f.injective = formInjective(p, form);
+    return f;
+}
+
+bool
+mayAlias(const AddressFacts &a, const AddressFacts &b)
+{
+    if (!a.affine || !b.affine)
         return true;
 
     // Span test: disjoint address ranges never alias.
-    auto sa = fullSpan(p, *a.form);
-    auto sb = fullSpan(p, *b.form);
+    const auto &sa = a.span, &sb = b.span;
     if (sa && sb && (sa->second < sb->first || sb->second < sa->first))
         return false;
 
     // Modular lattice test: A ⊆ ra + ga*Z, B ⊆ rb + gb*Z are disjoint
     // when (ra - rb) is not divisible by gcd(ga, gb).
-    Lattice la = formLattice(p, *a.form);
-    Lattice lb = formLattice(p, *b.form);
+    const Lattice &la = a.lattice, &lb = b.lattice;
     if (la.valid && lb.valid) {
         int64_t g = std::gcd(la.gcd, lb.gcd);
         if (g > 0 && ((la.residue - lb.residue) % g) != 0)
@@ -105,21 +143,21 @@ mayAlias(const Program &p, const Accessor &a, const Accessor &b)
 }
 
 bool
-lcdMayAlias(const Program &p, const Accessor &a, const Accessor &b,
-            CtrlId loop)
+mayAlias(const Program &p, const Accessor &a, const Accessor &b)
 {
-    if (!a.form || !b.form)
+    return mayAlias(addressFacts(p, a), addressFacts(p, b));
+}
+
+bool
+lcdMayAlias(const AddressFacts &a, const AddressFacts &b, CtrlId loop,
+            const std::vector<CtrlId> &enclosing)
+{
+    if (!a.affine || !b.affine)
         return true;
     // Only the identical-form case gets the sharper cross-iteration
     // test; otherwise fall back to the whole-space test.
-    if (a.form->base != b.form->base)
-        return mayAlias(p, a, b);
-    std::map<CtrlId, int64_t> merged = a.form->coeffs;
-    for (const auto &[l, c] : b.form->coeffs)
-        merged.try_emplace(l, 0);
-    for (const auto &[l, c] : merged)
-        if (a.form->coeff(l) != b.form->coeff(l))
-            return mayAlias(p, a, b);
+    if (a.base != b.base || a.coeffs != b.coeffs)
+        return mayAlias(a, b);
 
     // Identical form. The LCD token (at LCA rate) orders the accessors
     // across iterations of `loop` AND of every loop enclosing it, so a
@@ -128,33 +166,20 @@ lcdMayAlias(const Program &p, const Accessor &a, const Accessor &b,
     //    every one of its iterations -> collide;
     //  - otherwise the form must be injective over its whole iteration
     //    space (mixed-radix dominance) to rule out cancellation.
-    if (a.form->coeff(loop) == 0)
+    if (a.coeff(loop) == 0)
         return true;
-    for (CtrlId l : p.enclosingLoops(loop))
-        if (a.form->coeff(l) == 0)
+    for (CtrlId l : enclosing)
+        if (a.coeff(l) == 0)
             return true;
-    std::vector<std::pair<int64_t, int64_t>> terms; // (|c*step|, trips)
-    for (const auto &[l, c] : a.form->coeffs) {
-        if (c == 0)
-            continue;
-        const CtrlNode &n = p.ctrl(l);
-        if (n.kind != CtrlKind::Loop || !n.min.isConst ||
-            !n.max.isConst || !n.step.isConst)
-            return true;
-        int64_t trips =
-            (n.max.cval - n.min.cval + n.step.cval - 1) / n.step.cval;
-        if (trips <= 0)
-            return true;
-        terms.push_back({std::abs(c * n.step.cval), trips});
-    }
-    std::sort(terms.begin(), terms.end());
-    int64_t reach = 0;
-    for (const auto &[c, trips] : terms) {
-        if (c <= reach)
-            return true;
-        reach += c * (trips - 1);
-    }
-    return false;
+    return !a.injective;
+}
+
+bool
+lcdMayAlias(const Program &p, const Accessor &a, const Accessor &b,
+            CtrlId loop)
+{
+    return lcdMayAlias(addressFacts(p, a), addressFacts(p, b), loop,
+                       p.enclosingLoops(loop));
 }
 
 int
@@ -185,28 +210,47 @@ branchAncestors(const Program &p, CtrlId node)
 }
 
 bool
-exclusiveClauses(const Program &p, CtrlId a, CtrlId b)
+exclusiveClauses(const std::vector<BranchAncestor> &a,
+                 const std::vector<BranchAncestor> &b)
 {
-    auto ba = branchAncestors(p, a);
-    auto bb = branchAncestors(p, b);
-    for (const auto &x : ba)
-        for (const auto &y : bb)
+    for (const auto &x : a)
+        for (const auto &y : b)
             if (x.branch == y.branch && x.inThen != y.inThen)
                 return true;
     return false;
 }
 
-CtrlId
-innermostCommonLoop(const Program &p, CtrlId a, CtrlId b)
+bool
+exclusiveClauses(const Program &p, CtrlId a, CtrlId b)
 {
-    CtrlId l = p.lca(a, b);
-    for (CtrlId cur = l; cur.valid(); cur = p.ctrl(cur).parent) {
+    return exclusiveClauses(branchAncestors(p, a), branchAncestors(p, b));
+}
+
+CtrlId
+innermostCommonLoop(const Program &p, const std::vector<CtrlId> &a,
+                    const std::vector<CtrlId> &b)
+{
+    if (a.empty() || b.empty())
+        return CtrlId{};
+    // The chains agree from the root down to the nodes' LCA; walk from
+    // there toward the root.
+    size_t common = 0;
+    while (common < std::min(a.size(), b.size()) && a[common] == b[common])
+        ++common;
+    for (size_t i = common; i-- > 0;) {
+        CtrlId cur = a[i];
         const CtrlNode &n = p.ctrl(cur);
         if ((n.kind == CtrlKind::Loop || n.kind == CtrlKind::While) &&
-            cur != a && cur != b)
+            cur != a.back() && cur != b.back())
             return cur;
     }
     return CtrlId{};
+}
+
+CtrlId
+innermostCommonLoop(const Program &p, CtrlId a, CtrlId b)
+{
+    return innermostCommonLoop(p, p.ancestry(a), p.ancestry(b));
 }
 
 bool

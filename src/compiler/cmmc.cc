@@ -1,6 +1,7 @@
 #include "compiler/cmmc.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <tuple>
 
@@ -20,6 +21,86 @@ DepGraph::hasEdge(size_t src, size_t dst, bool backward) const
     return false;
 }
 
+namespace {
+
+/**
+ * The control queries of a pair of blocks, answered once per block pair
+ * from each block's ancestry, which is built once: exclusiveClauses,
+ * and innermostCommonLoop with the loops enclosing it (which
+ * lcdMayAlias also reads).
+ */
+class BlockPairs
+{
+  public:
+    struct Answer
+    {
+        bool exclusive = false;
+        CtrlId loop;
+        /** Program::enclosingLoops(loop), when `loop` is valid. */
+        const std::vector<CtrlId> *enclosing = nullptr;
+    };
+
+    BlockPairs(const Program &p, const std::vector<Accessor> &acc) : p_(p)
+    {
+        for (const auto &a : acc)
+            blocks_.push_back(a.block);
+        std::sort(blocks_.begin(), blocks_.end());
+        blocks_.erase(std::unique(blocks_.begin(), blocks_.end()),
+                      blocks_.end());
+        for (const auto &a : acc)
+            slot_.push_back(static_cast<size_t>(
+                std::lower_bound(blocks_.begin(), blocks_.end(), a.block) -
+                blocks_.begin()));
+        for (CtrlId b : blocks_) {
+            chains_.push_back(p.ancestry(b));
+            branches_.push_back(branchAncestors(p, b));
+        }
+        // Four bytes per block pair: less than the edges that the
+        // pairs can emit.
+        memo_.assign(blocks_.size() * blocks_.size(), -1);
+    }
+
+    /** The answer for accessors i and j (in that order). */
+    Answer
+    of(size_t i, size_t j)
+    {
+        int32_t &m = memo_[slot_[i] * blocks_.size() + slot_[j]];
+        if (m < 0) {
+            size_t a = slot_[i], b = slot_[j];
+            Answer ans;
+            ans.exclusive = exclusiveClauses(branches_[a], branches_[b]);
+            ans.loop = innermostCommonLoop(p_, chains_[a], chains_[b]);
+            if (ans.loop.valid())
+                ans.enclosing = &enclosingOf(ans.loop);
+            m = static_cast<int32_t>(answers_.size());
+            answers_.push_back(ans);
+        }
+        return answers_[static_cast<size_t>(m)];
+    }
+
+  private:
+    const std::vector<CtrlId> &
+    enclosingOf(CtrlId loop)
+    {
+        auto [it, fresh] = enclosing_.try_emplace(loop);
+        if (fresh)
+            it->second = p_.enclosingLoops(loop);
+        return it->second;
+    }
+
+    const Program &p_;
+    std::vector<CtrlId> blocks_; ///< Distinct blocks, sorted.
+    std::vector<size_t> slot_;   ///< Accessor -> index into blocks_.
+    /** Per block: Program::ancestry and branchAncestors. */
+    std::vector<std::vector<CtrlId>> chains_;
+    std::vector<std::vector<BranchAncestor>> branches_;
+    std::vector<int32_t> memo_; ///< Block pair -> answers_ index.
+    std::vector<Answer> answers_;
+    std::map<CtrlId, std::vector<CtrlId>> enclosing_;
+};
+
+} // namespace
+
 DepGraph
 buildDepGraph(const Program &p, const TensorAccess &ta,
               const DepGraphOptions &options)
@@ -27,6 +108,25 @@ buildDepGraph(const Program &p, const TensorAccess &ta,
     const auto &acc = ta.accessors;
     DepGraph g;
     g.n = acc.size();
+    BlockPairs pairs(p, acc);
+
+    if (options.fullSerialize) {
+        // Vanilla PC: every consecutive accessor pair is ordered via
+        // the hierarchical FSM.
+        for (size_t j = 1; j < acc.size(); ++j) {
+            size_t i = j - 1;
+            g.edges.push_back({i, j, false, CtrlId{}, 1});
+            CtrlId loop = pairs.of(i, j).loop;
+            if (loop.valid())
+                g.edges.push_back({j, i, true, loop, 1});
+        }
+        return g;
+    }
+
+    std::vector<AddressFacts> facts;
+    facts.reserve(acc.size());
+    for (const auto &a : acc)
+        facts.push_back(addressFacts(p, a));
 
     auto shardOf = [&](size_t i) -> int {
         if (options.staticShard.empty())
@@ -47,36 +147,27 @@ buildDepGraph(const Program &p, const TensorAccess &ta,
             bool conflict = a.isWrite || b.isWrite;
             bool rar = !a.isWrite && !b.isWrite && options.enforceRar &&
                        sameShardPossible(i, j);
-            if (options.fullSerialize) {
-                // Vanilla PC: every consecutive accessor pair is
-                // ordered via the hierarchical FSM.
-                if (j == i + 1) {
-                    g.edges.push_back({i, j, false, CtrlId{}, 1});
-                    CtrlId loop = innermostCommonLoop(p, a.block, b.block);
-                    if (loop.valid())
-                        g.edges.push_back({j, i, true, loop, 1});
-                }
-                continue;
-            }
             if (!conflict && !rar)
                 continue;
-            bool disjoint = conflict && !rar && !mayAlias(p, a, b);
+            bool disjoint =
+                conflict && !rar && !mayAlias(facts[i], facts[j]);
             if (disjoint)
                 continue;
+            const BlockPairs::Answer ctl = pairs.of(i, j);
             // Forward dependency unless the two accesses are mutually
             // exclusive for the same iteration (different clauses of a
             // common branch, Fig. 5b).
-            if (!exclusiveClauses(p, a.block, b.block))
+            if (!ctl.exclusive)
                 g.edges.push_back({i, j, false, CtrlId{}, 1});
             // Backward LCD on the innermost common loop: accessor i in
             // the next iteration must wait for accessor j in this one.
             // RAR LCDs are a port-ordering constraint and apply
             // regardless of addresses; data LCDs are pruned when the
             // addresses provably never collide across iterations.
-            CtrlId loop = innermostCommonLoop(p, a.block, b.block);
-            if (loop.valid() &&
-                (rar || lcdMayAlias(p, a, b, loop)))
-                g.edges.push_back({j, i, true, loop, 1});
+            if (ctl.loop.valid() &&
+                (rar ||
+                 lcdMayAlias(facts[i], facts[j], ctl.loop, *ctl.enclosing)))
+                g.edges.push_back({j, i, true, ctl.loop, 1});
         }
     }
     return g;
@@ -120,16 +211,20 @@ reduceDepGraph(DepGraph &g)
         return from == to || reach.reaches(from, to);
     };
 
+    // Candidates share the edge's loop and credit; each bucket lists
+    // its edges in edge order, so the first match is the all-pairs
+    // scan's.
+    std::map<std::pair<CtrlId, int>, std::vector<size_t>> byLoopCredit;
+    for (size_t i = 0; i < g.edges.size(); ++i)
+        if (g.edges[i].backward)
+            byLoopCredit[{g.edges[i].loop, g.edges[i].credit}].push_back(i);
     for (size_t i = 0; i < g.edges.size(); ++i) {
         DepEdge &e = g.edges[i];
         if (!e.backward || e.pruned)
             continue;
-        for (size_t j = 0; j < g.edges.size(); ++j) {
-            if (j == i)
-                continue;
+        for (size_t j : byLoopCredit[{e.loop, e.credit}]) {
             const DepEdge &alt = g.edges[j];
-            if (!alt.backward || alt.pruned || alt.loop != e.loop ||
-                alt.credit != e.credit)
+            if (j == i || alt.pruned)
                 continue;
             if (forwardReach(e.src, alt.src) &&
                 forwardReach(alt.dst, e.dst)) {

@@ -129,10 +129,12 @@ FailureReport::str() const
                    n.resource + "] held by " + next.unit;
         }
     }
-    out += "\nblocked engines:";
+    out += "\nunfinished engines:";
     for (const auto &n : blocked) {
-        out += "\n  " + n.unit + ": waiting on " + n.wants + " [" +
-               n.resource + "]";
+        out += "\n  " + n.unit +
+               (n.running ? std::string(": running")
+                          : ": waiting on " + n.wants + " [" + n.resource +
+                                "]");
         if (n.providerFinished)
             out += " (producer already finished)";
         if (!n.stalls.empty()) {
@@ -191,6 +193,7 @@ FailureReport::json() const
         j.kv("wants", n.wants);
         j.kv("resource", n.resource);
         j.kv("provider_finished", n.providerFinished);
+        j.kv("running", n.running);
         j.key("stalls").beginObject();
         for (const auto &[name, cycles] : n.stalls)
             j.kv(name, cycles);

@@ -52,7 +52,8 @@ enum class HangClass : uint8_t {
 
 const char *hangClassName(HangClass c);
 
-/** One blocked engine at quiescence. */
+/** One unfinished engine when the run stopped: parked on a resource,
+ *  or (budget overrun, cancel) still running. */
 struct WaitNode
 {
     std::string unit;     ///< Engine (virtual unit) name.
@@ -67,6 +68,10 @@ struct WaitNode
     bool providerFinished = false;
     /** Nonzero stall-cause histogram entries (name, cycles). */
     std::vector<std::pair<std::string, uint64_t>> stalls;
+    /** The engine was firing, not parked, when the run stopped (a
+     *  budget overrun or a cancel stops it mid-flight); `wants` and
+     *  `resource` are then empty. */
+    bool running = false;
 };
 
 /** One flight-recorder event, formatted for the failure report: what

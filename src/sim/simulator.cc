@@ -1690,7 +1690,11 @@ Simulator::buildWaitGraph() const
             n.resource = e->u->name;
             break;
           case Engine::WaitKind::None:
-            n.wants = *e->blockReason ? e->blockReason : "unknown";
+            if (!*e->blockReason) {
+                n.running = true; // Unparked: it was firing.
+                break;
+            }
+            n.wants = e->blockReason;
             n.resource = e->blockDetail;
             break;
         }

@@ -174,7 +174,7 @@ renderHeatmap(const CounterFile &cf, int rows, int cols,
     std::string border = "    +" + std::string(cols, '-') + "+\n";
     out += border;
     for (int y = rows - 1; y >= 0; --y) {
-        char label[8];
+        char label[16];
         std::snprintf(label, sizeof label, "%3d |", y);
         out += label;
         for (int x = 0; x < cols; ++x) {

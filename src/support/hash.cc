@@ -1,6 +1,11 @@
 #include "support/hash.h"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
 
 #include "support/logging.h"
 
@@ -31,6 +36,145 @@ rotr(uint32_t x, int n)
 
 } // namespace
 
+namespace sha256 {
+
+void
+compressPortable(State &state, const uint8_t *data, size_t n)
+{
+    for (; n > 0; --n, data += 64) {
+        uint32_t w[64];
+        for (int i = 0; i < 16; ++i)
+            w[i] = (static_cast<uint32_t>(data[i * 4]) << 24) |
+                   (static_cast<uint32_t>(data[i * 4 + 1]) << 16) |
+                   (static_cast<uint32_t>(data[i * 4 + 2]) << 8) |
+                   static_cast<uint32_t>(data[i * 4 + 3]);
+        for (int i = 16; i < 64; ++i) {
+            uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^
+                          (w[i - 15] >> 3);
+            uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^
+                          (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+
+        uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+        for (int i = 0; i < 64; ++i) {
+            uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+            uint32_t ch = (e & f) ^ (~e & g);
+            uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+            uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+            uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+            uint32_t t2 = s0 + maj;
+            h = g;
+            g = f;
+            f = e;
+            e = d + t1;
+            d = c;
+            c = b;
+            b = a;
+            a = t1 + t2;
+        }
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
+    }
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+
+bool
+hasShaExtensions()
+{
+    static const bool has = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("sha") &&
+               __builtin_cpu_supports("sse4.1");
+    }();
+    return has;
+}
+
+/**
+ * Intel's SHA-NI block loop: the state lives as ABEF/CDGH halves, each
+ * sha256rnds2 does two rounds, and sha256msg1/msg2 extend the message
+ * schedule four words at a time in a four-register ring.
+ */
+__attribute__((target("sha,sse4.1"))) void
+compressShaExtensions(State &state, const uint8_t *data, size_t n)
+{
+    const __m128i bswap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+    __m128i tmp = _mm_loadu_si128(
+        reinterpret_cast<const __m128i *>(&state[0])); // DCBA
+    __m128i s1 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i *>(&state[4])); // HGFE
+    tmp = _mm_shuffle_epi32(tmp, 0xB1);                // CDAB
+    s1 = _mm_shuffle_epi32(s1, 0x1B);                  // EFGH
+    __m128i s0 = _mm_alignr_epi8(tmp, s1, 8);          // ABEF
+    s1 = _mm_blend_epi16(s1, tmp, 0xF0);               // CDGH
+
+    for (; n > 0; --n, data += 64) {
+        const __m128i abefSave = s0, cdghSave = s1;
+        __m128i w[4];
+#pragma GCC unroll 16
+        for (int q = 0; q < 16; ++q) {
+            __m128i &cur = w[q & 3];
+            if (q < 4)
+                cur = _mm_shuffle_epi8(
+                    _mm_loadu_si128(
+                        reinterpret_cast<const __m128i *>(data + 16 * q)),
+                    bswap);
+            __m128i msg = _mm_add_epi32(
+                cur, _mm_loadu_si128(
+                         reinterpret_cast<const __m128i *>(&kK[4 * q])));
+            s1 = _mm_sha256rnds2_epu32(s1, s0, msg);
+            if (q >= 3 && q <= 14) {
+                __m128i &nxt = w[(q + 1) & 3];
+                nxt = _mm_add_epi32(nxt,
+                                    _mm_alignr_epi8(cur, w[(q + 3) & 3], 4));
+                nxt = _mm_sha256msg2_epu32(nxt, cur);
+            }
+            s0 = _mm_sha256rnds2_epu32(s0, s1,
+                                       _mm_shuffle_epi32(msg, 0x0E));
+            if (q >= 1 && q <= 12) {
+                __m128i &prv = w[(q + 3) & 3];
+                prv = _mm_sha256msg1_epu32(prv, cur);
+            }
+        }
+        s0 = _mm_add_epi32(s0, abefSave);
+        s1 = _mm_add_epi32(s1, cdghSave);
+    }
+
+    tmp = _mm_shuffle_epi32(s0, 0x1B);   // FEBA
+    s1 = _mm_shuffle_epi32(s1, 0xB1);    // DCHG
+    s0 = _mm_blend_epi16(tmp, s1, 0xF0); // DCBA
+    s1 = _mm_alignr_epi8(s1, tmp, 8);    // HGFE
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(&state[0]), s0);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(&state[4]), s1);
+}
+
+#else
+
+bool
+hasShaExtensions()
+{
+    return false;
+}
+
+void
+compressShaExtensions(State &, const uint8_t *, size_t)
+{
+    ::sara::panic("Sha256: no SHA extensions on this CPU");
+}
+
+#endif
+
+} // namespace sha256
+
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
              0x9b05688c, 0x1f83d9ab, 0x5be0cd19}
@@ -38,67 +182,42 @@ Sha256::Sha256()
 }
 
 void
-Sha256::compress(const uint8_t *block)
+Sha256::compress(const uint8_t *blocks, size_t n)
 {
-    uint32_t w[64];
-    for (int i = 0; i < 16; ++i)
-        w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-               (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-               (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-               static_cast<uint32_t>(block[i * 4 + 3]);
-    for (int i = 16; i < 64; ++i) {
-        uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^
-                      (w[i - 15] >> 3);
-        uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^
-                      (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-    for (int i = 0; i < 64; ++i) {
-        uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-        uint32_t ch = (e & f) ^ (~e & g);
-        uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-        uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-        uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        uint32_t t2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + t1;
-        d = c;
-        c = b;
-        b = a;
-        a = t1 + t2;
-    }
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
+    if (sha256::hasShaExtensions())
+        sha256::compressShaExtensions(state_, blocks, n);
+    else
+        sha256::compressPortable(state_, blocks, n);
 }
 
 void
 Sha256::update(const void *data, size_t len)
 {
     SARA_ASSERT(!finalized_, "Sha256: update after digest");
+    if (len == 0)
+        return;
     const uint8_t *p = static_cast<const uint8_t *>(data);
     bitLen_ += static_cast<uint64_t>(len) * 8;
-    while (len > 0) {
+    if (bufLen_ > 0) {
         size_t take = std::min(len, buf_.size() - bufLen_);
         std::memcpy(buf_.data() + bufLen_, p, take);
         bufLen_ += take;
         p += take;
         len -= take;
-        if (bufLen_ == buf_.size()) {
-            compress(buf_.data());
-            bufLen_ = 0;
-        }
+        if (bufLen_ < buf_.size())
+            return;
+        compress(buf_.data(), 1);
+        bufLen_ = 0;
     }
+    // Whole blocks straight from the input; the tail waits in buf_.
+    size_t whole = len / buf_.size();
+    if (whole > 0)
+        compress(p, whole);
+    p += whole * buf_.size();
+    len -= whole * buf_.size();
+    if (len > 0)
+        std::memcpy(buf_.data(), p, len);
+    bufLen_ = len;
 }
 
 std::array<uint8_t, 32>
@@ -106,19 +225,17 @@ Sha256::digest()
 {
     SARA_ASSERT(!finalized_, "Sha256: digest called twice");
     finalized_ = true;
-    uint64_t bits = bitLen_;
     // Pad: 0x80, zeros, 64-bit big-endian length.
-    uint8_t pad = 0x80;
-    finalized_ = false;
-    update(&pad, 1);
-    uint8_t zero = 0;
-    while (bufLen_ != 56)
-        update(&zero, 1);
-    uint8_t lenBytes[8];
+    buf_[bufLen_++] = 0x80;
+    if (bufLen_ > 56) {
+        std::memset(buf_.data() + bufLen_, 0, buf_.size() - bufLen_);
+        compress(buf_.data(), 1);
+        bufLen_ = 0;
+    }
+    std::memset(buf_.data() + bufLen_, 0, 56 - bufLen_);
     for (int i = 0; i < 8; ++i)
-        lenBytes[i] = static_cast<uint8_t>(bits >> (56 - i * 8));
-    update(lenBytes, 8);
-    finalized_ = true;
+        buf_[56 + i] = static_cast<uint8_t>(bitLen_ >> (56 - i * 8));
+    compress(buf_.data(), 1);
 
     std::array<uint8_t, 32> out;
     for (int i = 0; i < 8; ++i) {

@@ -7,7 +7,9 @@
  *
  *  - Sha256: an incremental SHA-256 implementation (FIPS 180-4) used
  *    to derive content-addressed cache keys and artifact payload
- *    checksums. Self-contained — no OpenSSL dependency.
+ *    checksums. Self-contained — no OpenSSL dependency. Whole blocks
+ *    go through the x86 SHA extensions when the CPU has them and
+ *    through portable code otherwise; both give the same digest.
  *  - fnv1a64: a cheap non-cryptographic mix for in-memory hash keys.
  *
  * Cache keys must be stable across processes and machines, which rules
@@ -20,6 +22,24 @@
 #include <string>
 
 namespace sara::support {
+
+/** The SHA-256 block function, exposed so tests can hold the hardware
+ *  path against the portable one. */
+namespace sha256 {
+
+using State = std::array<uint32_t, 8>;
+
+/** Fold `n` consecutive 64-byte blocks at `data` into `state`. */
+void compressPortable(State &state, const uint8_t *data, size_t n);
+
+/** True when the CPU has the x86 SHA extensions. */
+bool hasShaExtensions();
+
+/** compressPortable on the SHA extensions; call only when
+ *  hasShaExtensions(). */
+void compressShaExtensions(State &state, const uint8_t *data, size_t n);
+
+} // namespace sha256
 
 /** Incremental SHA-256. update() any number of times, then digest(). */
 class Sha256
@@ -45,9 +65,9 @@ class Sha256
     static std::string hexOf(const std::string &data);
 
   private:
-    void compress(const uint8_t *block);
+    void compress(const uint8_t *blocks, size_t n);
 
-    std::array<uint32_t, 8> state_;
+    sha256::State state_;
     uint64_t bitLen_ = 0;
     std::array<uint8_t, 64> buf_;
     size_t bufLen_ = 0;

@@ -5,7 +5,8 @@
  * @file
  * Shared test utilities: run a program through the full compiler and
  * simulator and compare final memory against the sequential
- * interpreter (the CMMC correctness oracle).
+ * interpreter (the CMMC correctness oracle), and the algorithms that
+ * faster ones replaced, kept as oracles.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +14,12 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
+#include <tuple>
 #include <vector>
 
+#include "compiler/analysis.h"
+#include "compiler/cmmc.h"
 #include "compiler/driver.h"
 #include "dram/dram.h"
 #include "ir/interp.h"
@@ -105,6 +110,129 @@ referenceTransitiveReduction(Digraph &g)
             if (g.reachable(u, v, /*skip_direct=*/true))
                 g.removeEdge(u, v);
     }
+}
+
+/**
+ * buildDepGraph's scan before the per-accessor address facts and the
+ * block-pair memo, kept as an oracle: every accessor pair recomputes
+ * both accessors' spans and lattices and rebuilds both blocks'
+ * ancestries.
+ */
+inline compiler::DepGraph
+referenceBuildDepGraph(const ir::Program &p,
+                       const compiler::TensorAccess &ta,
+                       const compiler::DepGraphOptions &options)
+{
+    using compiler::Accessor;
+    const auto &acc = ta.accessors;
+    compiler::DepGraph g;
+    g.n = acc.size();
+
+    auto shardOf = [&](size_t i) -> int {
+        if (options.staticShard.empty())
+            return 0;
+        return options.staticShard[i];
+    };
+    auto sameShardPossible = [&](size_t i, size_t j) {
+        int si = shardOf(i), sj = shardOf(j);
+        if (si < 0 || sj < 0)
+            return true;
+        return si == sj;
+    };
+
+    for (size_t j = 0; j < acc.size(); ++j) {
+        for (size_t i = 0; i < j; ++i) {
+            const Accessor &a = acc[i];
+            const Accessor &b = acc[j];
+            bool conflict = a.isWrite || b.isWrite;
+            bool rar = !a.isWrite && !b.isWrite && options.enforceRar &&
+                       sameShardPossible(i, j);
+            if (options.fullSerialize) {
+                if (j == i + 1) {
+                    g.edges.push_back({i, j, false, ir::CtrlId{}, 1});
+                    ir::CtrlId loop =
+                        compiler::innermostCommonLoop(p, a.block, b.block);
+                    if (loop.valid())
+                        g.edges.push_back({j, i, true, loop, 1});
+                }
+                continue;
+            }
+            if (!conflict && !rar)
+                continue;
+            bool disjoint =
+                conflict && !rar && !compiler::mayAlias(p, a, b);
+            if (disjoint)
+                continue;
+            if (!compiler::exclusiveClauses(p, a.block, b.block))
+                g.edges.push_back({i, j, false, ir::CtrlId{}, 1});
+            ir::CtrlId loop =
+                compiler::innermostCommonLoop(p, a.block, b.block);
+            if (loop.valid() &&
+                (rar || compiler::lcdMayAlias(p, a, b, loop)))
+                g.edges.push_back({j, i, true, loop, 1});
+        }
+    }
+    return g;
+}
+
+/**
+ * reduceDepGraph before backward edges were indexed by (loop, credit),
+ * kept as an oracle: pass 2 scans every pair of backward edges.
+ */
+inline compiler::ReduceStats
+referenceReduceDepGraph(compiler::DepGraph &g)
+{
+    using compiler::DepEdge;
+    compiler::ReduceStats stats;
+
+    Digraph fwd(g.n);
+    for (const auto &e : g.edges)
+        if (!e.backward)
+            fwd.addEdge(e.src, e.dst);
+    size_t before = fwd.numEdges();
+    const Reachability reach = fwd.transitiveReduction();
+    stats.forwardRemoved = static_cast<int>(before - fwd.numEdges());
+    std::set<std::tuple<size_t, size_t, bool, int32_t>> seen;
+    std::vector<DepEdge> dedup;
+    size_t kept = 0;
+    for (const auto &e : g.edges) {
+        if (!e.backward && !fwd.hasEdge(e.src, e.dst))
+            continue;
+        ++kept;
+        if (seen.emplace(e.src, e.dst, e.backward, e.loop.v).second)
+            dedup.push_back(e);
+    }
+    stats.forwardRemoved += static_cast<int>(kept - dedup.size());
+    g.edges = std::move(dedup);
+
+    auto forwardReach = [&](size_t from, size_t to) {
+        return from == to || reach.reaches(from, to);
+    };
+    for (size_t i = 0; i < g.edges.size(); ++i) {
+        DepEdge &e = g.edges[i];
+        if (!e.backward || e.pruned)
+            continue;
+        for (size_t j = 0; j < g.edges.size(); ++j) {
+            if (j == i)
+                continue;
+            const DepEdge &alt = g.edges[j];
+            if (!alt.backward || alt.pruned || alt.loop != e.loop ||
+                alt.credit != e.credit)
+                continue;
+            if (forwardReach(e.src, alt.src) &&
+                forwardReach(alt.dst, e.dst)) {
+                e.pruned = true;
+                ++stats.backwardRemoved;
+                break;
+            }
+        }
+    }
+    std::vector<DepEdge> remaining;
+    for (const auto &e : g.edges)
+        if (!e.pruned)
+            remaining.push_back(e);
+    g.edges = std::move(remaining);
+    return stats;
 }
 
 } // namespace sara::test

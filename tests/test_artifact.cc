@@ -785,11 +785,13 @@ TEST(ArtifactCache, KillNineDuringStoreLeavesCacheLoadable)
                   (tmp.path / "pre.sara").string())
                   .key,
               "pre");
-    for (const auto &de : fs::directory_iterator(tmp.path))
-        if (de.path().extension() == ".sara")
+    for (const auto &de : fs::directory_iterator(tmp.path)) {
+        if (de.path().extension() == ".sara") {
             EXPECT_NO_THROW(
                 artifact::readArtifactFile(de.path().string()))
                 << de.path();
+        }
+    }
 }
 
 TEST(ArtifactCache, InjectedEnospcFailsStoreCleanly)

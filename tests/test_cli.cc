@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <tuple>
 
@@ -275,6 +277,34 @@ TEST(Cli, ExhaustedCycleBudgetClassifiedWithDiagnosis)
     EXPECT_NE(doc.find("\"budget_exceeded\":true"), std::string::npos)
         << doc;
     EXPECT_NE(doc.find("\"classification\":\"starvation-livelock\""),
+              std::string::npos)
+        << doc;
+}
+
+TEST(Cli, ExhaustedCycleBudgetListsFiringEngineAsRunning)
+{
+    // rd_dInMs_1 fires at every cycle up to the 10-cycle budget, so
+    // the overrun snapshot finds it unparked: the report says it was
+    // running, not that it waits on some unknown resource, and the
+    // classification stays starvation-livelock.
+    TempDir tmp("sara-cli-budget-running");
+    std::string json = (tmp.path / "failure.json").string();
+    auto r = runSarac("ms --par 8 --max-cycles 10 --json " + json);
+    EXPECT_EQ(r.exitCode, 4) << r.output;
+    EXPECT_NE(r.output.find("rd_dInMs_1: running"), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("unknown"), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("@10 fire rd_dInMs_1"), std::string::npos)
+        << r.output;
+    std::ifstream in(json);
+    std::string doc((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+    EXPECT_NE(doc.find("\"classification\":\"starvation-livelock\""),
+              std::string::npos)
+        << doc;
+    EXPECT_NE(doc.find("\"unit\":\"rd_dInMs_1\",\"wants\":\"\","
+                       "\"resource\":\"\",\"provider_finished\":false,"
+                       "\"running\":true"),
               std::string::npos)
         << doc;
 }

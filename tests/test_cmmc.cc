@@ -10,10 +10,13 @@
 
 #include "compiler/analysis.h"
 #include "compiler/cmmc.h"
+#include "compiler/unroll.h"
 #include "ir/builder.h"
 #include "support/digraph.h"
 #include "support/rng.h"
 #include "tests/helpers.h"
+#include "tests/program_gen.h"
+#include "workloads/workload.h"
 
 namespace sara {
 namespace {
@@ -359,6 +362,126 @@ TEST(ReduceDepGraph, MatchesReferenceOnRandomGraphs)
     // The random graphs exercise both passes.
     EXPECT_GT(forwardRemoved, 0);
     EXPECT_GT(backwardRemoved, 0);
+}
+
+/** Same edges in the same order, field by field. */
+void
+expectSameEdges(const DepGraph &got, const DepGraph &want,
+                const std::string &where)
+{
+    ASSERT_EQ(got.edges.size(), want.edges.size()) << where;
+    for (size_t k = 0; k < got.edges.size(); ++k) {
+        const DepEdge &a = got.edges[k], &b = want.edges[k];
+        ASSERT_TRUE(a.src == b.src && a.dst == b.dst &&
+                    a.backward == b.backward && a.loop == b.loop &&
+                    a.credit == b.credit && a.pruned == b.pruned)
+            << where << " edge " << k;
+    }
+}
+
+struct OracleTotals
+{
+    size_t edges = 0;
+    int forwardRemoved = 0;
+    int backwardRemoved = 0;
+};
+
+/**
+ * buildDepGraph and reduceDepGraph against the scans they replaced
+ * (tests/helpers.h) on every tensor of an unrolled program, under each
+ * option set lowering can pass: no RAR; RAR with and without static
+ * shards; full serialization. Reduction also runs with a deeper credit
+ * (as multibuffering sets) on half of one loop's backward edges.
+ */
+void
+checkAgainstReference(const Program &p, const std::string &label,
+                      OracleTotals &totals)
+{
+    for (const auto &ta : collectAccessors(p)) {
+        if (ta.accessors.empty())
+            continue;
+        std::vector<DepGraphOptions> optionSets(4);
+        optionSets[1].enforceRar = true;
+        optionSets[2].enforceRar = true;
+        for (size_t i = 0; i < ta.accessors.size(); ++i)
+            optionSets[2].staticShard.push_back(static_cast<int>(i % 3) - 1);
+        optionSets[3].fullSerialize = true;
+        for (size_t k = 0; k < optionSets.size(); ++k) {
+            std::string where = label + " tensor " +
+                                std::to_string(ta.tensor.v) +
+                                " options " + std::to_string(k);
+            DepGraph got = buildDepGraph(p, ta, optionSets[k]);
+            DepGraph want =
+                test::referenceBuildDepGraph(p, ta, optionSets[k]);
+            expectSameEdges(got, want, where);
+            totals.edges += got.edges.size();
+            for (int credit : {1, 2}) {
+                DepGraph r = got, rw = want;
+                if (credit > 1) {
+                    // Every other backward edge of the first one's loop,
+                    // so that loop's edges split between two credits.
+                    CtrlId loop;
+                    for (const auto &e : got.edges)
+                        if (e.backward && !loop.valid())
+                            loop = e.loop;
+                    for (DepGraph *g : {&r, &rw}) {
+                        bool deeper = true;
+                        for (auto &x : g->edges) {
+                            if (!x.backward || x.loop != loop)
+                                continue;
+                            if (deeper)
+                                x.credit = credit;
+                            deeper = !deeper;
+                        }
+                    }
+                }
+                ReduceStats s = reduceDepGraph(r);
+                ReduceStats sw = test::referenceReduceDepGraph(rw);
+                EXPECT_EQ(s.forwardRemoved, sw.forwardRemoved) << where;
+                EXPECT_EQ(s.backwardRemoved, sw.backwardRemoved) << where;
+                expectSameEdges(r, rw,
+                                where + " credit " + std::to_string(credit));
+                totals.forwardRemoved += s.forwardRemoved;
+                totals.backwardRemoved += s.backwardRemoved;
+            }
+        }
+    }
+}
+
+TEST(DepGraph, MatchesReferenceScanOnWorkloads)
+{
+    OracleTotals totals;
+    const int lanes = compiler::CompilerOptions{}.spec.pcu.lanes;
+    for (const auto &name : workloads::allWorkloadNames()) {
+        for (int par : {1, 4, 16, 32}) {
+            workloads::WorkloadConfig cfg;
+            cfg.par = par;
+            Program p = workloads::buildByName(name, cfg).program;
+            compiler::unrollProgram(p, lanes);
+            checkAgainstReference(p, name + " par " + std::to_string(par),
+                                  totals);
+        }
+    }
+    EXPECT_GT(totals.edges, 0u);
+    EXPECT_GT(totals.forwardRemoved, 0);
+    EXPECT_GT(totals.backwardRemoved, 0);
+}
+
+TEST(DepGraph, MatchesReferenceScanOnGeneratedPrograms)
+{
+    OracleTotals totals;
+    const int lanes = test::tinyOptions().spec.pcu.lanes;
+    for (int seed = 1; seed <= 160; ++seed) {
+        // The property suite's seed mapping; seeds 1-40 are its
+        // programs.
+        test::ProgramGen gen(static_cast<uint64_t>(seed) * 7919 + 13);
+        Program p = gen.generate().program;
+        compiler::unrollProgram(p, lanes);
+        checkAgainstReference(p, "seed " + std::to_string(seed), totals);
+    }
+    EXPECT_GT(totals.edges, 0u);
+    EXPECT_GT(totals.forwardRemoved, 0);
+    EXPECT_GT(totals.backwardRemoved, 0);
 }
 
 /** levelAt implements the "done of the immediate child ancestor"

@@ -492,8 +492,9 @@ TEST(HangDiagnosis, GenuineHangIsNotBlamedOnInjection)
         EXPECT_NE(r.cls, fault::HangClass::InjectedFault);
         EXPECT_FALSE(r.seeded);
         EXPECT_FALSE(r.blocked.empty());
-        if (r.cls == fault::HangClass::Deadlock)
+        if (r.cls == fault::HangClass::Deadlock) {
             EXPECT_GE(r.cycle.size(), 2u) << "deadlock without a cycle";
+        }
     }
     EXPECT_TRUE(hung);
 }

@@ -51,9 +51,11 @@ TEST(Lowering, MsrFifoLowersLockStepBuffer)
     auto low = lowerToVudfg(p, opts());
     EXPECT_EQ(low.stats.fifoLoweredTensors, 1);
     // No VMU was allocated for buf.
-    for (const auto &u : low.graph.units())
-        if (u.kind == dfg::VuKind::Memory)
+    for (const auto &u : low.graph.units()) {
+        if (u.kind == dfg::VuKind::Memory) {
             EXPECT_NE(u.name, "vmu_buf");
+        }
+    }
 
     auto noMsr = opts();
     noMsr.enableMsr = false;
@@ -113,9 +115,11 @@ TEST(Lowering, MultibufferDecision)
 
     auto low = lowerToVudfg(p, opts());
     EXPECT_EQ(low.stats.multibufferedTensors, 1);
-    for (const auto &u : low.graph.units())
-        if (u.kind == dfg::VuKind::Memory && u.name == "vmu_buf")
+    for (const auto &u : low.graph.units()) {
+        if (u.kind == dfg::VuKind::Memory && u.name == "vmu_buf") {
             EXPECT_EQ(u.bufferDepth, opts().multibufferDepth);
+        }
+    }
 }
 
 /** Oversized tensors shard across PMUs (capacity partitioning). */

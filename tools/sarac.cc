@@ -14,7 +14,7 @@
  *
  * Options:
  *   --graph FILE       compile a sara-graph/v1 model description (see
- *                      examples/*.graph.json) instead of a built-in
+ *                      examples/mlp.graph.json) instead of a built-in
  *                      workload: the layer graph is validated, lowered
  *                      to IR (a per-layer table shows the par splits),
  *                      and then flows through the same compile /
