@@ -322,72 +322,103 @@ ArtifactCache::quarantinedCount() const
 // CachingCompiler
 // ---------------------------------------------------------------------------
 
+void
+CachingCompiler::makeReady(Entry &e, Result r)
+{
+    e.pending = {};
+    e.ready = std::move(r);
+    e.lastUse = ++tick_;
+    ++readyCount_;
+    while (readyCount_ > keep_) {
+        auto lru = table_.end();
+        for (auto it = table_.begin(); it != table_.end(); ++it)
+            if (it->second.ready &&
+                (lru == table_.end() ||
+                 it->second.lastUse < lru->second.lastUse))
+                lru = it;
+        table_.erase(lru);
+        --readyCount_;
+    }
+}
+
 CachingCompiler::Compiled
 CachingCompiler::compile(const ir::Program &input,
                          const compiler::CompilerOptions &options)
 {
-    std::string key = contentKey(input, options);
+    Compiled out;
+    out.key = contentKey(input, options);
+    const std::string &key = out.key;
+
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = table_.find(key);
+        if (it != table_.end() && it->second.ready) {
+            it->second.lastUse = ++tick_;
+            out.result = it->second.ready;
+            out.fromCache = out.fromMemory = true;
+            return out;
+        }
+    }
 
     if (inj_ && inj_->compileFault(key))
         throw TransientError(
             "injected transient compile fault for key " + key);
 
-    // Fast path: already on disk.
     if (cache_) {
-        if (auto hit = cache_->lookup(key))
-            return {std::move(*hit), key, /*fromCache=*/true,
-                    /*deduped=*/false};
-    }
-
-    // Claim the key or join the thread already compiling it.
-    std::promise<Shared> promise;
-    std::shared_future<Shared> future;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = inflight_.find(key);
-        if (it == inflight_.end()) {
-            future = promise.get_future().share();
-            inflight_.emplace(key, future);
-            owner = true;
-        } else {
-            future = it->second;
+        if (auto hit = cache_->lookup(key)) {
+            out.result = std::make_shared<const compiler::CompileResult>(
+                std::move(*hit));
+            out.fromCache = true;
+            std::lock_guard<std::mutex> lock(mu_);
+            auto [it, added] = table_.try_emplace(key);
+            if (added)
+                makeReady(it->second, out.result);
+            return out;
         }
     }
 
-    if (!owner) {
+    // Claim the key, or join the compile that holds it. An entry that
+    // turned ready since the first probe was compiled concurrently
+    // with this call: count it as joined.
+    std::promise<Result> promise;
+    std::shared_future<Result> joined;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto [it, claimed] = table_.try_emplace(key);
+        Entry &e = it->second;
+        if (claimed) {
+            e.pending = promise.get_future().share();
+        } else if (e.ready) {
+            e.lastUse = ++tick_;
+            out.result = e.ready;
+        } else {
+            joined = e.pending;
+        }
+    }
+    if (out.result || joined.valid()) {
         telemetry::Registry::global().add("jobs.compile.deduped");
-        Shared shared = future.get();
-        if (!shared)
-            // The owner failed; surface the same error by recompiling
-            // (rare path, and errors must not be silently swallowed).
-            return {compiler::compile(input, options), key, false,
-                    true};
-        Compiled out = *shared;
+        if (!out.result)
+            out.result = joined.get(); // Rethrows the owner's failure.
         out.deduped = true;
-        out.fromCache = false;
         return out;
     }
 
-    Compiled out;
-    out.key = key;
     try {
-        out.result = compiler::compile(input, options);
+        out.result = std::make_shared<const compiler::CompileResult>(
+            compiler::compile(input, options));
+        if (cache_)
+            cache_->store(key, *out.result);
     } catch (...) {
         {
             std::lock_guard<std::mutex> lock(mu_);
-            inflight_.erase(key);
+            table_.erase(key);
         }
-        promise.set_value(nullptr);
+        promise.set_exception(std::current_exception());
         throw;
     }
-    if (cache_)
-        cache_->store(key, out.result);
-    promise.set_value(std::make_shared<Compiled>(out));
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        inflight_.erase(key);
-    }
+    promise.set_value(out.result);
+    std::lock_guard<std::mutex> lock(mu_);
+    makeReady(table_.at(key), out.result);
     return out;
 }
 

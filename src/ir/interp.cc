@@ -213,9 +213,9 @@ Interpreter::execCtrl(CtrlId id)
             iters_[id.index()] = static_cast<int64_t>(rounds);
             for (CtrlId c : node.children)
                 execCtrl(c);
-            if (++rounds > maxWhileRounds_)
+            if (++rounds > kMaxWhileRounds)
                 fatal("do-while ", node.name, " exceeded ",
-                      maxWhileRounds_, " rounds; non-terminating?");
+                      kMaxWhileRounds, " rounds; non-terminating?");
         } while (value(node.cond) != 0.0);
         break;
       }

@@ -17,6 +17,11 @@
 
 namespace sara::ir {
 
+/** Safety valve on the rounds of one do-while loop, shared by the
+ *  interpreter and the simulator: past it the program is taken to be
+ *  non-terminating. */
+inline constexpr uint64_t kMaxWhileRounds = 1'000'000;
+
 /** Final memory state after sequential execution. */
 struct InterpResult
 {
@@ -59,9 +64,6 @@ class Interpreter
     /** Run to completion and return final memory state. */
     InterpResult run();
 
-    /** Safety valve for do-while loops (default 1M body rounds). */
-    void setMaxWhileRounds(uint64_t rounds) { maxWhileRounds_ = rounds; }
-
   private:
     void execCtrl(CtrlId id);
     void execBlock(const CtrlNode &block);
@@ -75,7 +77,6 @@ class Interpreter
     std::vector<std::vector<OpId>> loopReduces_;
     uint64_t firings_ = 0;
     uint64_t opsExecuted_ = 0;
-    uint64_t maxWhileRounds_ = 1000000;
 };
 
 } // namespace sara::ir

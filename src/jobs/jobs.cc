@@ -131,6 +131,31 @@ BatchReport::firstError() const
     return "";
 }
 
+void
+retryTransient(const std::function<void()> &fn, int maxAttempts,
+               const std::string &what, const char *counter,
+               int *retries, const std::atomic<bool> *stop)
+{
+    for (int attempt = 1;; ++attempt) {
+        try {
+            fn();
+            return;
+        } catch (const TransientError &e) {
+            if (attempt >= maxAttempts ||
+                (stop && stop->load(std::memory_order_relaxed)))
+                throw;
+            if (retries)
+                ++*retries;
+            telemetry::Registry::global().add(counter);
+            warn(what, ": transient failure (attempt ", attempt, "/",
+                 maxAttempts, "): ", e.what());
+            std::this_thread::sleep_for(
+                std::chrono::duration<double, std::milli>(
+                    kRetryBackoffMs * attempt));
+        }
+    }
+}
+
 BatchReport
 runBatch(std::vector<Job> jobs, const BatchOptions &options)
 {
@@ -163,45 +188,21 @@ runBatch(std::vector<Job> jobs, const BatchOptions &options)
                 out.worker = worker;
                 out.startMs = msSince(epoch);
                 try {
-                    for (int attempt = 1;; ++attempt) {
-                        try {
-                            jobs[i].fn();
-                            break;
-                        } catch (const TransientError &e) {
-                            // Only transient failures are retried, and
-                            // never past the attempt budget or into a
-                            // cancelled batch.
-                            if (attempt >= options.maxAttempts ||
-                                cancelled.load(
-                                    std::memory_order_relaxed))
-                                throw;
-                            ++out.retries;
-                            telemetry::Registry::global().add(
-                                "jobs.retried");
-                            warn("job ", jobs[i].name,
-                                 " transient failure (attempt ",
-                                 attempt, "/", options.maxAttempts,
-                                 "): ", e.what());
-                            std::this_thread::sleep_for(
-                                std::chrono::duration<double,
-                                                      std::milli>(
-                                    options.retryBackoffMs * attempt));
-                        }
-                    }
+                    // Never retry into a cancelled batch.
+                    retryTransient(jobs[i].fn, options.maxAttempts,
+                                   "job " + jobs[i].name,
+                                   "jobs.retried", &out.retries,
+                                   &cancelled);
                     out.status = JobOutcome::Status::Ok;
                 } catch (const std::exception &e) {
                     out.status = JobOutcome::Status::Failed;
                     out.error = e.what();
-                    if (options.cancelOnError)
-                        cancelled.store(true,
-                                        std::memory_order_relaxed);
+                    cancelled.store(true, std::memory_order_relaxed);
                     warn("job ", jobs[i].name, " failed: ", e.what());
                 } catch (...) {
                     out.status = JobOutcome::Status::Failed;
                     out.error = "unknown exception";
-                    if (options.cancelOnError)
-                        cancelled.store(true,
-                                        std::memory_order_relaxed);
+                    cancelled.store(true, std::memory_order_relaxed);
                 }
                 out.durMs = msSince(epoch) - out.startMs;
             });

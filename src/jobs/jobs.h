@@ -10,16 +10,17 @@
  * Semantics:
  *  - Bounded concurrency: at most `threads` jobs run at once (default
  *    = hardware concurrency, capped by the job count).
- *  - Cancellation on first fatal error: when a job throws and
- *    `cancelOnError` is set, jobs that have not started yet are marked
- *    cancelled and never run; jobs already running drain normally.
+ *  - Cancellation on first fatal error: when a job throws, jobs that
+ *    have not started yet are marked cancelled and never run; jobs
+ *    already running drain normally.
  *    runBatch never returns with work still in flight — the pool is
  *    drained before the report is built, so side effects of cancelled
  *    batches (cache stores, report files) are always complete, never
  *    torn.
  *  - Bounded retry: jobs failing with support::TransientError are
- *    retried up to `maxAttempts` times with linear backoff; any other
- *    exception fails the job immediately.
+ *    retried through retryTransient(), up to `maxAttempts` attempts
+ *    with linear backoff; any other exception fails the job
+ *    immediately.
  *  - Per-job telemetry: each outcome records queue->start->end wall
  *    clock relative to the batch epoch plus the worker that ran it;
  *    the batch can emit a Chrome trace (one lane per worker) and bumps
@@ -29,6 +30,7 @@
  * batch output (reports, BENCH_*.json rows) stays deterministic.
  */
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <mutex>
@@ -71,13 +73,9 @@ struct BatchOptions
 
     /** Worker threads; 0 = std::thread::hardware_concurrency(). */
     int threads = 0;
-    /** Stop launching new jobs after the first failure. */
-    bool cancelOnError = true;
     /** Total attempts per job (1 = no retry). Only failures thrown as
      *  support::TransientError are retried. */
     int maxAttempts = 1;
-    /** Backoff before retry k is `retryBackoffMs * k` milliseconds. */
-    double retryBackoffMs = 2.0;
     /** When non-empty, write a Chrome trace of the batch schedule
      *  (one lane per worker) here. */
     std::string traceFile;
@@ -97,6 +95,23 @@ struct BatchReport
     /** First failure message (empty when none). */
     std::string firstError() const;
 };
+
+/** Backoff before transient retry k is `kRetryBackoffMs * k` ms. */
+inline constexpr double kRetryBackoffMs = 2.0;
+
+/**
+ * Call `fn`, retrying it while it throws support::TransientError: at
+ * most `maxAttempts` calls in all, and no retry once `*stop` (when
+ * given) is set. Before retry k it adds one to `*retries` (when given)
+ * and to the `counter` telemetry counter, warns naming `what`, and
+ * sleeps `kRetryBackoffMs * k` ms. Any other exception, and the
+ * transient error that exhausts the budget, propagates. The batch
+ * runner and sarad both retry through this.
+ */
+void retryTransient(const std::function<void()> &fn, int maxAttempts,
+                    const std::string &what, const char *counter,
+                    int *retries = nullptr,
+                    const std::atomic<bool> *stop = nullptr);
 
 /**
  * Run `jobs` on a bounded pool and block until the batch drains.

@@ -11,7 +11,6 @@ namespace sara::noc {
 NocModel::NocModel(sim::Scheduler &sched, const NocSpec &spec)
     : sched_(&sched), spec_(spec)
 {
-    SARA_ASSERT(spec_.linkBuffer >= 1, "NoC link buffer must hold >= 1 flit");
     SARA_ASSERT(spec_.hopLatency >= 1, "NoC hop latency must be >= 1");
 }
 
@@ -82,7 +81,7 @@ NocModel::firstLink(dfg::StreamId id) const
 int
 NocModel::freeSlots(const Link &link) const
 {
-    int buf = spec_.linkBuffer;
+    int buf = kLinkBuffer;
     if (inj_)
         buf -= std::min(buf,
                         inj_->stuckCredits(link.site, sched_->now()));

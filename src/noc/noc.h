@@ -14,7 +14,7 @@
  *  - each directed link grants at most one flit per cycle, chosen by a
  *    deterministic round-robin over stream ids among the flits whose
  *    next-hop buffer has space;
- *  - each link has a small input buffer (`NocSpec::linkBuffer` flits);
+ *  - each link has a small input buffer (`kLinkBuffer` flits);
  *    a granted flit reserves its slot in the downstream buffer before
  *    it starts the `hopLatency`-cycle traversal — link-level credit
  *    flow control, so congestion back-pressures hop by hop all the way
@@ -43,13 +43,15 @@
 
 namespace sara::noc {
 
+/** Flit slots per link input buffer. */
+inline constexpr int kLinkBuffer = 2;
+
 /** Network timing/flow-control parameters (mirrors arch::NetSpec). */
 struct NocSpec
 {
     int hopLatency = 2;   ///< Cycles for a granted flit to cross a link.
     int ejectLatency = 2; ///< Last grant -> destination FIFO delivery.
     int minLatency = 4;   ///< Floor on end-to-end transit (switch entry).
-    int linkBuffer = 2;   ///< Flit slots per link input buffer.
     /** Route Token streams through the arbitrated network. CMMC rides
      *  the shared static network; the vanilla hierarchical-FSM control
      *  uses the dedicated control bits, so tokens keep their scalar
@@ -191,7 +193,7 @@ class NocModel
 
     Link &firstLink(dfg::StreamId id);
     const Link &firstLink(dfg::StreamId id) const;
-    /** Buffer slots usable for new flits: linkBuffer minus occupancy,
+    /** Buffer slots usable for new flits: kLinkBuffer minus occupancy,
      *  reservations and any injected stuck credits. */
     int freeSlots(const Link &link) const;
     void enqueue(Flit *f, int linkIdx);

@@ -21,7 +21,7 @@ runWorkload(const workloads::Workload &w, const RunConfig &config)
     } else if (config.cachingCompiler) {
         auto compiled =
             config.cachingCompiler->compile(w.program, config.compiler);
-        out.compiled = std::move(compiled.result);
+        out.compiled = *compiled.result;
         out.fromCache = compiled.fromCache;
         out.artifactKey = std::move(compiled.key);
     } else {

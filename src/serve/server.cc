@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "fault/failure.h"
+#include "jobs/jobs.h"
 #include "runtime/run.h"
 #include "support/logging.h"
 #include "support/telemetry.h"
@@ -93,8 +94,8 @@ Server::start()
         if (opt_.fault)
             cache_->setFaultInjector(opt_.fault);
     }
-    compiler_ =
-        std::make_unique<artifact::CachingCompiler>(cache_.get());
+    compiler_ = std::make_unique<artifact::CachingCompiler>(
+        cache_.get(), opt_.memCacheEntries);
     if (opt_.fault)
         compiler_->setFaultInjector(opt_.fault);
 
@@ -313,16 +314,7 @@ Server::readerLoop(std::shared_ptr<Conn> conn)
                     break;
                 pending.append(buf, static_cast<size_t>(n));
             }
-            size_t start = 0;
-            for (size_t nl; (nl = pending.find('\n', start)) !=
-                            std::string::npos;
-                 start = nl + 1) {
-                std::string line = pending.substr(start, nl - start);
-                if (!line.empty() && line.back() == '\r')
-                    line.pop_back();
-                if (!line.empty())
-                    handleLine(conn, line);
-            }
+            handleLines(conn, pending);
             keepOpen = true;
             break;
         }
@@ -362,17 +354,7 @@ Server::readerLoop(std::shared_ptr<Conn> conn)
             partialSince = now;
         lastBytes = now;
         pending.append(buf, static_cast<size_t>(n));
-        size_t start = 0;
-        for (size_t nl; (nl = pending.find('\n', start)) !=
-                        std::string::npos;
-             start = nl + 1) {
-            std::string line = pending.substr(start, nl - start);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
-            if (!line.empty())
-                handleLine(conn, line);
-        }
-        pending.erase(0, start);
+        handleLines(conn, pending);
         // The deadline covers the *current* partial line: every byte
         // of progress resets it, so only a genuinely stalled client
         // trips it.
@@ -387,6 +369,22 @@ Server::readerLoop(std::shared_ptr<Conn> conn)
     if (!keepOpen)
         conn->open.store(false);
     conn->readerDone.store(true);
+}
+
+void
+Server::handleLines(const std::shared_ptr<Conn> &conn,
+                    std::string &pending)
+{
+    size_t start = 0;
+    for (size_t nl; (nl = pending.find('\n', start)) != std::string::npos;
+         start = nl + 1) {
+        std::string line = pending.substr(start, nl - start);
+        if (!line.empty() && line.back() == '\r')
+            line.pop_back();
+        if (!line.empty())
+            handleLine(conn, line);
+    }
+    pending.erase(0, start);
 }
 
 void
@@ -573,36 +571,6 @@ Server::watchdogLoop()
     }
 }
 
-std::shared_ptr<const compiler::CompileResult>
-Server::memLookup(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(memMu_);
-    auto it = mem_.find(key);
-    if (it == mem_.end()) {
-        count("serve.memcache.miss");
-        return nullptr;
-    }
-    it->second.lastUse = ++memTick_;
-    count("serve.memcache.hit");
-    return it->second.result;
-}
-
-void
-Server::memStore(const std::string &key,
-                 std::shared_ptr<const compiler::CompileResult> r)
-{
-    std::lock_guard<std::mutex> lock(memMu_);
-    mem_[key] = MemEntry{std::move(r), ++memTick_};
-    while (mem_.size() > opt_.memCacheEntries) {
-        auto lru = mem_.begin();
-        for (auto it = mem_.begin(); it != mem_.end(); ++it)
-            if (it->second.lastUse < lru->second.lastUse)
-                lru = it;
-        mem_.erase(lru);
-        count("serve.memcache.evict");
-    }
-}
-
 std::string
 Server::executeCompileOrRun(const Request &req, double queueMs,
                             double &serviceMs,
@@ -615,46 +583,19 @@ Server::executeCompileOrRun(const Request &req, double queueMs,
     workloads::Workload w = workloads::buildByName(req.workload, cfg);
 
     compiler::CompilerOptions copt; // Server-wide defaults.
-    std::string key = artifact::contentKey(w.program, copt);
-
-    bool fromCache = false, deduped = false;
-    std::shared_ptr<const compiler::CompileResult> compiled =
-        memLookup(key);
-    if (compiled) {
-        fromCache = true;
-    } else {
-        // Disk probe + in-flight dedup + compile, with the batch
-        // runner's transient-retry semantics.
-        for (int attempt = 1;; ++attempt) {
-            try {
-                auto c = compiler_->compile(w.program, copt);
-                fromCache = c.fromCache;
-                deduped = c.deduped;
-                compiled = std::make_shared<compiler::CompileResult>(
-                    std::move(c.result));
-                break;
-            } catch (const TransientError &e) {
-                if (attempt >= opt_.maxAttempts)
-                    throw;
-                count("serve.retried");
-                warn("sarad: transient failure for ", req.workload,
-                     " (attempt ", attempt, "/", opt_.maxAttempts,
-                     "): ", e.what());
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double, std::milli>(
-                        opt_.retryBackoffMs * attempt));
-            }
-        }
-        memStore(key, compiled);
-    }
+    artifact::CachingCompiler::Compiled c;
+    jobs::retryTransient([&] { c = compiler_->compile(w.program, copt); },
+                         opt_.maxAttempts, "sarad: " + req.workload,
+                         "serve.retried");
+    count(c.fromMemory ? "serve.memcache.hit" : "serve.memcache.miss");
 
     ResponseBuilder b(req.id, "ok");
     b.kv("verb", verbName(req.verb))
         .kv("tenant", req.tenant)
         .kv("workload", req.workload)
-        .kv("key", key)
-        .kv("from_cache", fromCache)
-        .kv("deduped", deduped);
+        .kv("key", c.key)
+        .kv("from_cache", c.fromCache)
+        .kv("deduped", c.deduped);
 
     if (req.verb == Verb::Run) {
         runtime::RunConfig rc;
@@ -666,7 +607,7 @@ Server::executeCompileOrRun(const Request &req, double queueMs,
             rc.sim.maxCycles = req.maxCycles;
         else if (opt_.defaultMaxCycles)
             rc.sim.maxCycles = opt_.defaultMaxCycles;
-        rc.preCompiled = compiled.get();
+        rc.preCompiled = c.result.get();
         runtime::RunOutcome r = runtime::runWorkload(w, rc);
         b.kv("cycles", r.sim.cycles)
             .kv("time_us", r.timeUs())
@@ -832,10 +773,6 @@ Server::statsJson() const
 
     j.key("counters").beginObject();
     for (const auto &[name, v] : reg.counterSnapshot())
-        j.kv(name, v);
-    j.endObject();
-    j.key("gauges").beginObject();
-    for (const auto &[name, v] : reg.gaugeSnapshot())
         j.kv(name, v);
     j.endObject();
 

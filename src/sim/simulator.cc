@@ -17,6 +17,9 @@ using dfg::VuKind;
 
 namespace {
 
+/** Max outstanding DRAM requests per AG. */
+constexpr int kAgOutstanding = 64;
+
 double
 reduceIdentity(ir::OpKind kind)
 {
@@ -273,12 +276,11 @@ Simulator::Simulator(const ir::Program &program, const dfg::Vudfg &graph,
     : p_(program), g_(graph), opt_(options), dram_(std::move(dramSpec))
 {
     g_.validate();
-    flight_.reset(opt_.flightDepth);
 
     if (opt_.useNoc) {
         noc_ = std::make_unique<noc::NocModel>(sched_, opt_.noc);
         noc_->setFaultInjector(opt_.fault);
-        noc_->setFlightRecorder(flight_.enabled() ? &flight_ : nullptr);
+        noc_->setFlightRecorder(&flight_);
         for (size_t i = 0; i < g_.numStreams(); ++i)
             noc_->registerStream(g_.stream(dfg::StreamId(i)));
     }
@@ -288,8 +290,7 @@ Simulator::Simulator(const ir::Program &program, const dfg::Vudfg &graph,
         const auto &s = g_.stream(dfg::StreamId(i));
         // A producer pushes at most one lane per innermost SIMD lane.
         fifos_[i].init(sched_, s, s.src.valid() ? g_.unit(s.src).vec() : 1,
-                       noc_.get(), opt_.fault,
-                       flight_.enabled() ? &flight_ : nullptr);
+                       noc_.get(), opt_.fault, &flight_);
     }
 
     // Memory groups.
@@ -726,7 +727,7 @@ Simulator::runUnit(Engine &e)
                         writeLanes(e, addrs);
                     }
                 } else if (u.kind == VuKind::Ag) {
-                    while (e.outstanding >= opt_.agOutstanding) {
+                    while (e.outstanding >= kAgOutstanding) {
                         e.parkOn(Engine::WaitKind::DramWindow, -1,
                                  "DRAM outstanding limit", u.name);
                         uint64_t blockedAt = sched_.now();
@@ -734,7 +735,7 @@ Simulator::runUnit(Engine &e)
                         co_await e.agCv.wait();
                         e.agCv.wakeLanded();
                         noteWake(e, WakeClass::Dram,
-                                 e.outstanding >= opt_.agOutstanding);
+                                 e.outstanding >= kAgOutstanding);
                         e.stats.stallCycles[static_cast<int>(
                             StallCause::DramLatency)] +=
                             sched_.now() - blockedAt;
@@ -913,9 +914,9 @@ Simulator::runUnit(Engine &e)
                     cond.pop();
                     const uint64_t rounds =
                         static_cast<uint64_t>(e.val[k]) + 1;
-                    if (rounds > opt_.maxWhileRounds)
+                    if (rounds > ir::kMaxWhileRounds)
                         fatal(u.name, ": do-while exceeded ",
-                              opt_.maxWhileRounds, " rounds");
+                              ir::kMaxWhileRounds, " rounds");
                     if (again)
                         e.val[k] = static_cast<int64_t>(rounds);
                 } else {
@@ -1286,10 +1287,8 @@ Simulator::run()
 
     uint64_t end = sched_.run(opt_.maxCycles, opt_.cancel);
 
-    if (sched_.cancelled())
-        reportCancelled();
-    if (sched_.budgetExceeded())
-        reportBudgetExceeded();
+    if (sched_.cancelled() || sched_.budgetExceeded())
+        reportHang();
 
     bool allDone = true;
     for (auto &e : engines_) {
@@ -1718,64 +1717,28 @@ Simulator::reportHang()
     // diagnose it: flush it, annotated with the classification.
     fault::FailureReport fr =
         fault::classify(buildWaitGraph(), opt_.fault, sched_.now());
+    // The cycle budget is a livelock tripwire: events were still
+    // firing when it ran out, so the run was spinning rather than
+    // quiescing. A watchdog cancel stops the run mid-flight too, and
+    // is flagged so the caller can tell it from an organic hang.
+    fr.budgetExceeded = sched_.budgetExceeded();
+    if (fr.budgetExceeded)
+        fr.budget = opt_.maxCycles;
+    fr.cancelled = sched_.cancelled();
+    if ((fr.budgetExceeded || fr.cancelled) &&
+        fr.cls == fault::HangClass::Deadlock) {
+        // A wait-for cycle in a mid-flight snapshot is transient (the
+        // wanted data may simply still be in the network): with events
+        // pending the run is live by definition, so it is a livelock,
+        // never a deadlock. Injected-fault attribution stands — a
+        // permanent fault can burn the budget.
+        fr.cls = fault::HangClass::Starvation;
+        fr.cycle.clear();
+    }
     buildTimeline(fr);
     if (!opt_.traceFile.empty())
         writeTrace(&fr);
     // Same logging contract as panic(); the throw carries structure.
-    detail::logMessage(LogLevel::Error, "panic", fr.str());
-    throw fault::HangError(std::move(fr));
-}
-
-void
-Simulator::reportBudgetExceeded()
-{
-    // The cycle budget is a livelock tripwire: events were still
-    // firing when the budget ran out, so the run was spinning rather
-    // than quiescing. Escalate through the same classified-failure
-    // surface as a drained-queue hang (exit 4): the wait-for graph
-    // over the unfinished engines is classified — no cycle closes over
-    // a spinning engine, so a true livelock lands in
-    // starvation-livelock, while a budget blown by an injected
-    // permanent fault is still pinned on the injection site.
-    fault::FailureReport fr =
-        fault::classify(buildWaitGraph(), opt_.fault, sched_.now());
-    fr.budgetExceeded = true;
-    fr.budget = opt_.maxCycles;
-    if (fr.cls == fault::HangClass::Deadlock) {
-        // A wait-for cycle in a mid-flight snapshot is transient (the
-        // wanted data may simply still be in the network): with events
-        // pending the run is live by definition, so a budget overrun
-        // is a livelock, never a deadlock. Injected-fault attribution
-        // stands — a permanent fault can burn the budget.
-        fr.cls = fault::HangClass::Starvation;
-        fr.cycle.clear();
-    }
-    buildTimeline(fr);
-    if (!opt_.traceFile.empty())
-        writeTrace(&fr);
-    detail::logMessage(LogLevel::Error, "panic", fr.str());
-    throw fault::HangError(std::move(fr));
-}
-
-void
-Simulator::reportCancelled()
-{
-    // An external watchdog pulled the plug mid-flight. Like a budget
-    // overrun the snapshot is transient, so a wait-for cycle proves
-    // nothing — classify for the evidence (blocked set, injections,
-    // timeline), force starvation over deadlock, and mark the report
-    // cancelled so the caller can tell a watchdog kill from an
-    // organic hang.
-    fault::FailureReport fr =
-        fault::classify(buildWaitGraph(), opt_.fault, sched_.now());
-    fr.cancelled = true;
-    if (fr.cls == fault::HangClass::Deadlock) {
-        fr.cls = fault::HangClass::Starvation;
-        fr.cycle.clear();
-    }
-    buildTimeline(fr);
-    if (!opt_.traceFile.empty())
-        writeTrace(&fr);
     detail::logMessage(LogLevel::Error, "panic", fr.str());
     throw fault::HangError(std::move(fr));
 }

@@ -56,10 +56,6 @@ namespace sara::sim {
 struct SimOptions
 {
     uint64_t maxCycles = 4'000'000'000ULL;
-    /** Cap on do-while rounds (safety valve). */
-    uint64_t maxWhileRounds = 1'000'000;
-    /** Max outstanding DRAM requests per AG. */
-    int agOutstanding = 64;
     /** Route streams through the cycle-level NoC model (src/noc)
      *  instead of the fixed per-stream latency stamped by PnR. Off by
      *  default: the legacy fixed-latency model stays the baseline. */
@@ -88,10 +84,6 @@ struct SimOptions
      *  runtime layer; fringe AGs sit at x = -1 / x = fabricCols). */
     int fabricRows = 20;
     int fabricCols = 20;
-    /** Flight-recorder depth: how many recent scheduler/wakeup/link
-     *  events the ring buffer retains for the failure-report timeline.
-     *  0 disables recording. */
-    size_t flightDepth = 256;
     /** External cancellation flag, polled once per simulated cycle.
      *  When it goes true the run stops and throws a HangError whose
      *  FailureReport carries `cancelled` (the daemon watchdog uses
@@ -291,9 +283,9 @@ class Simulator
     /** Assemble the SimResult from engine, fifo and DRAM state. */
     SimResult assembleResult(uint64_t end);
 
+    /** Classify the unfinished engines of a drained, over-budget or
+     *  cancelled run and throw the FailureReport as a HangError. */
     [[noreturn]] void reportHang();
-    [[noreturn]] void reportBudgetExceeded();
-    [[noreturn]] void reportCancelled();
     std::vector<fault::WaitNode> buildWaitGraph() const;
     void collectTensors(SimResult &result);
     /** Per-wakeup bookkeeping: aggregate + per-class tallies and a
@@ -328,7 +320,7 @@ class Simulator
     std::vector<Engine *> arbBus_;
     bool arbArmed_ = false;
     /** Last-N scheduler/wakeup/link events for failure timelines. */
-    telemetry::FlightRecorder flight_{0};
+    telemetry::FlightRecorder flight_;
     /** Cumulative firings per fabric region (4x4 region grid), sampled
      *  on every firing for the Chrome-trace counter tracks. Only
      *  populated when tracing (same gate as trace_). */

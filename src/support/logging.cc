@@ -62,18 +62,6 @@ logLevel()
     return levelRef();
 }
 
-void
-setVerbose(bool verbose)
-{
-    setLogLevel(verbose ? LogLevel::Info : LogLevel::Warn);
-}
-
-bool
-verbose()
-{
-    return logLevel() <= LogLevel::Info;
-}
-
 namespace detail {
 
 void

@@ -133,11 +133,6 @@ warn(Args &&...args)
                        detail::concat(std::forward<Args>(args)...));
 }
 
-/** Back-compat switch: verbose shows inform() (level Info), quiet
- *  restores the Warn default. */
-void setVerbose(bool verbose);
-bool verbose();
-
 /** panic() with a condition; message printed only on failure. */
 #define SARA_ASSERT(cond, ...)                                               \
     do {                                                                     \

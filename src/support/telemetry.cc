@@ -40,14 +40,6 @@ Registry::counter(const std::string &name) const
     return it == counters_.end() ? 0 : it->second;
 }
 
-double
-Registry::gauge(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = gauges_.find(name);
-    return it == gauges_.end() ? 0.0 : it->second;
-}
-
 std::map<std::string, uint64_t>
 Registry::counterSnapshot() const
 {
@@ -55,19 +47,11 @@ Registry::counterSnapshot() const
     return counters_;
 }
 
-std::map<std::string, double>
-Registry::gaugeSnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return gauges_;
-}
-
 void
 Registry::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
     counters_.clear();
-    gauges_.clear();
 }
 
 std::string
@@ -75,8 +59,6 @@ Registry::str() const
 {
     std::ostringstream os;
     for (const auto &[name, v] : counters_)
-        os << name << " = " << v << "\n";
-    for (const auto &[name, v] : gauges_)
         os << name << " = " << v << "\n";
     return os.str();
 }

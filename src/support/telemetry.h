@@ -8,7 +8,7 @@
  * figures are derived from.
  *
  * Four primitives:
- *  - Registry: named counters/gauges with a global instance that is
+ *  - Registry: named counters with a global instance that is
  *    OFF by default; when disabled every operation is a single branch
  *    so instrumented hot paths cost nothing measurable.
  *  - SpanRecorder / ScopedSpan: nested wall-clock phase timings with
@@ -31,7 +31,7 @@
 namespace sara::telemetry {
 
 // ---------------------------------------------------------------------------
-// Registry: named counters and gauges.
+// Registry: named counters.
 // ---------------------------------------------------------------------------
 
 /**
@@ -58,43 +58,18 @@ class Registry
         counters_[name] += delta;
     }
 
-    /** Set a named gauge to its latest value (no-op when disabled). */
-    void
-    set(const std::string &name, double value)
-    {
-        if (!enabled_)
-            return;
-        std::lock_guard<std::mutex> lock(mu_);
-        gauges_[name] = value;
-    }
-
-    /** Track a gauge's maximum (no-op when disabled). */
-    void
-    setMax(const std::string &name, double value)
-    {
-        if (!enabled_)
-            return;
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = gauges_.find(name);
-        if (it == gauges_.end() || it->second < value)
-            gauges_[name] = value;
-    }
-
     uint64_t counter(const std::string &name) const;
-    double gauge(const std::string &name) const;
 
-    /** Locked copies of every metric — safe while writers are live
+    /** Locked copy of every counter — safe while writers are live
      *  (the sarad stats endpoint samples a running daemon). */
     std::map<std::string, uint64_t> counterSnapshot() const;
-    std::map<std::string, double> gaugeSnapshot() const;
 
-    /** Direct views — only safe once concurrent writers have quiesced
-     *  (e.g. after a batch drains); use counter()/gauge() otherwise. */
+    /** Direct view — only safe once concurrent writers have quiesced
+     *  (e.g. after a batch drains); use counter() otherwise. */
     const std::map<std::string, uint64_t> &counters() const
     {
         return counters_;
     }
-    const std::map<std::string, double> &gauges() const { return gauges_; }
 
     void clear();
 
@@ -105,7 +80,6 @@ class Registry
     bool enabled_ = false;
     mutable std::mutex mu_;
     std::map<std::string, uint64_t> counters_;
-    std::map<std::string, double> gauges_;
 };
 
 // ---------------------------------------------------------------------------

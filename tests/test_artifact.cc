@@ -17,6 +17,7 @@
 #include <fstream>
 #include <map>
 #include <thread>
+#include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -548,12 +549,147 @@ TEST(CachingCompiler, SecondCompileComesFromCache)
     auto second = cc.compile(w.program, opt);
     EXPECT_TRUE(second.fromCache);
     EXPECT_EQ(first.key, second.key);
-    EXPECT_EQ(first.result.lowering.graph.str(),
-              second.result.lowering.graph.str());
+    EXPECT_EQ(first.result->lowering.graph.str(),
+              second.result->lowering.graph.str());
 
-    auto simA = simulate(w, first.result);
-    auto simB = simulate(w, second.result);
+    auto simA = simulate(w, *first.result);
+    auto simB = simulate(w, *second.result);
     EXPECT_EQ(simA.cycles, simB.cycles);
+}
+
+/** Registry counters whose name starts with `prefix`. */
+std::map<std::string, uint64_t>
+countersWithPrefix(const std::string &prefix)
+{
+    std::map<std::string, uint64_t> out;
+    for (const auto &[name, v] :
+         telemetry::Registry::global().counterSnapshot())
+        if (name.rfind(prefix, 0) == 0)
+            out[name] = v;
+    return out;
+}
+
+/** A compiled result that neither memory, disk nor a join served. */
+bool
+compiledFresh(const artifact::CachingCompiler::Compiled &c)
+{
+    return !c.fromCache && !c.fromMemory && !c.deduped;
+}
+
+TEST(CachingCompiler, RepeatWithinKeepSharesOneResult)
+{
+    TempDir tmp("sara-cachecompile-keep-test");
+    auto &reg = telemetry::Registry::global();
+    reg.clear();
+    reg.setEnabled(true);
+    artifact::ArtifactCache cache(tmp.path.string());
+    artifact::CachingCompiler cc(&cache, /*keep=*/4);
+
+    workloads::WorkloadConfig cfg;
+    cfg.par = 8;
+    auto w = workloads::buildByName("ms", cfg);
+    auto opt = testOptions();
+
+    auto first = cc.compile(w.program, opt);
+    EXPECT_TRUE(compiledFresh(first));
+    auto disk = countersWithPrefix("artifact.cache.");
+    EXPECT_EQ(disk["artifact.cache.store"], 1u);
+
+    // The repeat is a memory hit: the same result object, no compile
+    // (a compile would store again) and no disk probe at all.
+    auto again = cc.compile(w.program, opt);
+    EXPECT_EQ(again.result.get(), first.result.get());
+    EXPECT_TRUE(again.fromMemory);
+    EXPECT_TRUE(again.fromCache);
+    EXPECT_FALSE(again.deduped);
+    EXPECT_EQ(again.key, first.key);
+    EXPECT_EQ(countersWithPrefix("artifact.cache."), disk);
+    reg.setEnabled(false);
+}
+
+TEST(CachingCompiler, KeepOneEvictsTheLeastRecentlyUsedResult)
+{
+    artifact::CachingCompiler cc(nullptr, /*keep=*/1);
+    auto opt = testOptions();
+    workloads::WorkloadConfig cfgA, cfgB;
+    cfgA.par = 4;
+    cfgB.par = 8;
+    auto a = workloads::buildByName("ms", cfgA);
+    auto b = workloads::buildByName("ms", cfgB);
+
+    auto a1 = cc.compile(a.program, opt);
+    auto b1 = cc.compile(b.program, opt);
+    auto a2 = cc.compile(a.program, opt); // B evicted A: compiles again.
+    EXPECT_NE(a1.key, b1.key);
+    EXPECT_TRUE(compiledFresh(a1));
+    EXPECT_TRUE(compiledFresh(b1));
+    EXPECT_TRUE(compiledFresh(a2));
+    EXPECT_NE(a2.result.get(), a1.result.get());
+    // A is now the one kept entry.
+    EXPECT_EQ(cc.compile(a.program, opt).result.get(), a2.result.get());
+}
+
+TEST(CachingCompiler, KeepZeroCompilesEachSequentialRepeat)
+{
+    // sarac and the bench sweeps: dedup only, nothing kept.
+    artifact::CachingCompiler cc(nullptr);
+    workloads::WorkloadConfig cfg;
+    cfg.par = 8;
+    auto w = workloads::buildByName("ms", cfg);
+    auto opt = testOptions();
+
+    auto first = cc.compile(w.program, opt);
+    auto second = cc.compile(w.program, opt);
+    EXPECT_TRUE(compiledFresh(first));
+    EXPECT_TRUE(compiledFresh(second));
+    EXPECT_NE(second.result.get(), first.result.get());
+}
+
+TEST(CachingCompiler, FailedCompileFailsEveryCallerAndLeavesNoEntry)
+{
+    // Vanilla PC control cannot map sort's multi-accessor tensors:
+    // lowering throws FatalError. Every concurrent caller, whether it
+    // compiled or joined, sees that error, and nothing stays behind.
+    auto &reg = telemetry::Registry::global();
+    reg.clear();
+    reg.setEnabled(true);
+    artifact::CachingCompiler cc(nullptr, /*keep=*/4);
+    workloads::WorkloadConfig cfg;
+    cfg.par = 16;
+    auto w = workloads::buildByName("sort", cfg);
+    auto opt = testOptions();
+    opt.control = compiler::ControlScheme::HierarchicalFsm;
+    const std::string message = "vanilla PC supports a single write and "
+                                "a single read accessor per VMU";
+
+    constexpr int kCallers = 8;
+    std::atomic<int> failed{0};
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kCallers; ++i)
+        callers.emplace_back([&] {
+            try {
+                cc.compile(w.program, opt);
+            } catch (const FatalError &e) {
+                if (std::string(e.what()).find(message) !=
+                    std::string::npos)
+                    ++failed;
+            }
+        });
+    for (auto &t : callers)
+        t.join();
+    EXPECT_EQ(failed.load(), kCallers);
+
+    // A later call compiles (and fails) afresh: it neither joins a
+    // failed entry nor finds a result.
+    uint64_t joins = reg.counter("jobs.compile.deduped");
+    try {
+        cc.compile(w.program, opt);
+        ADD_FAILURE() << "a later compile succeeded";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos);
+    }
+    EXPECT_EQ(reg.counter("jobs.compile.deduped"), joins);
+    reg.setEnabled(false);
 }
 
 // --- Hash support ----------------------------------------------------------

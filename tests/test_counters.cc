@@ -340,30 +340,6 @@ TEST(Timeline, HangReportCarriesRecentEvents)
     EXPECT_TRUE(hung) << "dropped DRAM response did not hang the run";
 }
 
-TEST(Timeline, FlightDepthZeroDisablesIt)
-{
-    std::vector<fault::FaultSpec> plan = {
-        fault::parseFaultSpec("dram-timeout@1.0:count=1")};
-    fault::FaultInjector inj(plan, 1);
-    workloads::WorkloadConfig cfg;
-    cfg.par = 4;
-    auto w = workloads::buildByName("sort", cfg);
-    runtime::RunConfig rc;
-    rc.check = false;
-    rc.sim.fault = &inj;
-    rc.sim.flightDepth = 0;
-    bool hung = false;
-    try {
-        runtime::runWorkload(w, rc);
-    } catch (const fault::HangError &e) {
-        hung = true;
-        EXPECT_TRUE(e.report().timeline.empty());
-        EXPECT_EQ(e.report().str().find("recent events"),
-                  std::string::npos);
-    }
-    EXPECT_TRUE(hung);
-}
-
 // ---------------------------------------------------------------------------
 // Host sampling profiler.
 // ---------------------------------------------------------------------------

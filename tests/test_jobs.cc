@@ -106,26 +106,6 @@ TEST(Jobs, CancelsPendingJobsAfterFailure)
                   jobs::JobOutcome::Status::Cancelled);
 }
 
-TEST(Jobs, KeepGoingWhenCancelDisabled)
-{
-    std::atomic<int> ran{0};
-    std::vector<jobs::Job> batch;
-    for (int i = 0; i < 6; ++i)
-        batch.push_back({"j", [&, i] {
-            ++ran;
-            if (i % 2 == 0)
-                throw std::runtime_error("even jobs fail");
-        }});
-    jobs::BatchOptions opt;
-    opt.threads = 2;
-    opt.cancelOnError = false;
-    auto report = jobs::runBatch(std::move(batch), opt);
-    EXPECT_EQ(ran.load(), 6);
-    EXPECT_EQ(report.failed(), 3);
-    EXPECT_EQ(report.succeeded(), 3);
-    EXPECT_EQ(report.cancelled(), 0);
-}
-
 TEST(Jobs, TelemetryCountersTrackOutcomes)
 {
     auto &reg = telemetry::Registry::global();
@@ -212,7 +192,6 @@ TEST(Jobs, RetriesTransientFailuresWithBackoff)
     jobs::BatchOptions opt;
     opt.threads = 1;
     opt.maxAttempts = 3;
-    opt.retryBackoffMs = 0.1;
     auto report = jobs::runBatch(std::move(batch), opt);
 
     EXPECT_TRUE(report.allOk());
@@ -233,7 +212,6 @@ TEST(Jobs, RetryBudgetExhaustionFailsTheJob)
     jobs::BatchOptions opt;
     opt.threads = 1;
     opt.maxAttempts = 3;
-    opt.retryBackoffMs = 0.1;
     auto report = jobs::runBatch(std::move(batch), opt);
 
     EXPECT_EQ(report.failed(), 1);
@@ -298,7 +276,6 @@ TEST(Jobs, CancelledBatchDrainsInFlightCompilesAndCacheStaysClean)
 
     jobs::BatchOptions opt;
     opt.threads = 3; // Everything starts together; nothing is pending.
-    opt.cancelOnError = true;
     auto report = jobs::runBatch(std::move(batch), opt);
 
     EXPECT_EQ(report.failed(), 1);
@@ -532,7 +509,6 @@ TEST(Jobs, ConcurrentRetriesAccountExactly)
     jobs::BatchOptions opt;
     opt.threads = 4;
     opt.maxAttempts = 3;
-    opt.retryBackoffMs = 0.1;
     auto report = jobs::runBatch(std::move(batch), opt);
 
     EXPECT_TRUE(report.allOk());

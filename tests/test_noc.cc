@@ -275,7 +275,7 @@ TEST(NocModel, SharedLinkArbitratesRoundRobinDeterministically)
 
 TEST(NocModel, AdmissionGateReflectsFirstHopBuffer)
 {
-    // canAccept mirrors the first-hop input buffer: `linkBuffer` flits
+    // canAccept mirrors the first-hop input buffer: `kLinkBuffer` flits
     // enter immediately, then the producer must wait for a grant.
     sim::Scheduler sched;
     noc::NocSpec spec;
@@ -286,7 +286,7 @@ TEST(NocModel, AdmissionGateReflectsFirstHopBuffer)
 
     std::vector<std::pair<int, uint64_t>> log;
     std::deque<Delivery> ctx;
-    for (int i = 0; i < spec.linkBuffer; ++i) {
+    for (int i = 0; i < noc::kLinkBuffer; ++i) {
         EXPECT_TRUE(model.canAccept(s.id)) << i;
         ctx.push_back({&sched, &log, 7});
         model.inject(s.id, Delivery::fire, &ctx.back());
@@ -294,15 +294,15 @@ TEST(NocModel, AdmissionGateReflectsFirstHopBuffer)
     EXPECT_FALSE(model.canAccept(s.id));
     sched.run();
     EXPECT_TRUE(model.canAccept(s.id));
-    EXPECT_EQ(log.size(), static_cast<size_t>(spec.linkBuffer));
+    EXPECT_EQ(log.size(), static_cast<size_t>(noc::kLinkBuffer));
 
     auto stats = model.stats();
     EXPECT_EQ(stats.links, 2);
     ASSERT_EQ(stats.linkUse.size(), 2u);
     EXPECT_EQ(stats.linkUse[0].traversals,
-              static_cast<uint64_t>(spec.linkBuffer));
+              static_cast<uint64_t>(noc::kLinkBuffer));
     EXPECT_GE(stats.linkUse[0].queueHighWater,
-              static_cast<uint64_t>(spec.linkBuffer));
+              static_cast<uint64_t>(noc::kLinkBuffer));
 }
 
 TEST(NocModel, UnroutedStreamsDoNotParticipate)

@@ -448,12 +448,8 @@ TEST(ServeServer, IdenticalConcurrentCompilesAreDeduped)
             bool deduped = v->at("deduped").boolean;
             (fromCache || deduped) ? ++warm : ++fresh;
         }
-        // Exactly-one-compile is racy to pin down (a worker can finish
-        // and evict the in-flight entry before the next one arrives),
-        // but the overwhelming majority must be served warm.
-        EXPECT_GE(fresh, 1);
-        EXPECT_LE(fresh, 2);
-        EXPECT_GE(warm, n - 2);
+        EXPECT_EQ(fresh, 1);
+        EXPECT_EQ(warm, n - 1);
     }
     server.requestStop();
     server.wait();

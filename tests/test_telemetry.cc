@@ -41,29 +41,18 @@ TEST(Registry, DisabledIsNoOp)
     EXPECT_FALSE(r.enabled());
     r.add("fired");
     r.add("fired", 10);
-    r.set("depth", 3.0);
-    r.setMax("peak", 7.0);
     EXPECT_EQ(r.counter("fired"), 0u);
-    EXPECT_EQ(r.gauge("depth"), 0.0);
     EXPECT_TRUE(r.counters().empty());
-    EXPECT_TRUE(r.gauges().empty());
 }
 
-TEST(Registry, CountersAndGauges)
+TEST(Registry, CountersAccumulateAndClear)
 {
     Registry r;
     r.setEnabled(true);
     r.add("fired");
     r.add("fired", 4);
-    r.set("depth", 3.0);
-    r.set("depth", 2.0); // Latest value wins.
-    r.setMax("peak", 5.0);
-    r.setMax("peak", 2.0); // Lower value ignored.
-    r.setMax("peak", 9.0);
     EXPECT_EQ(r.counter("fired"), 5u);
     EXPECT_EQ(r.counter("missing"), 0u);
-    EXPECT_EQ(r.gauge("depth"), 2.0);
-    EXPECT_EQ(r.gauge("peak"), 9.0);
     EXPECT_NE(r.str().find("fired"), std::string::npos);
 
     r.clear();
