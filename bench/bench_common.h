@@ -231,7 +231,7 @@ nocCycles(const workloads::Workload &w, runtime::RunConfig rc,
     rc.sim.traceFile.clear();
     rc.check = false;
     rc.cachingCompiler = nullptr;
-    rc.preCompiled = &r.compiled; // Simulate, don't recompile.
+    rc.preCompiled = r.compiled.get(); // Simulate, don't recompile.
     return runtime::runWorkload(w, rc).sim.cycles;
 }
 

@@ -102,7 +102,7 @@ main(int argc, char **argv)
         Table t({"disabled opt", "runtime x", "resource x", "tokens",
                  "cycles", "cycles (noc)"});
         t.addRow({"(none)", "1.00", "1.00",
-                  std::to_string(ref.compiled.lowering.stats.tokens),
+                  std::to_string(ref.compiled->lowering.stats.tokens),
                   std::to_string(ref.sim.cycles),
                   std::to_string(results[a * kRuns].nocCycles)});
         out.beginRow()
@@ -110,7 +110,7 @@ main(int argc, char **argv)
             .kv("disabled", "none")
             .kv("runtime_x", 1.0)
             .kv("resource_x", 1.0)
-            .kv("tokens", ref.compiled.lowering.stats.tokens)
+            .kv("tokens", ref.compiled->lowering.stats.tokens)
             .kv("cycles", ref.sim.cycles)
             .kv("noc_cycles", results[a * kRuns].nocCycles)
             .endRow();
@@ -121,10 +121,10 @@ main(int argc, char **argv)
             double rt = static_cast<double>(r.sim.cycles) /
                         static_cast<double>(ref.sim.cycles);
             double res =
-                static_cast<double>(r.compiled.resources.total()) /
-                std::max(1, ref.compiled.resources.total());
+                static_cast<double>(r.compiled->resources.total()) /
+                std::max(1, ref.compiled->resources.total());
             t.addRow({knob.name, Table::fmt(rt), Table::fmt(res),
-                      std::to_string(r.compiled.lowering.stats.tokens),
+                      std::to_string(r.compiled->lowering.stats.tokens),
                       std::to_string(r.sim.cycles),
                       std::to_string(noc)});
             out.beginRow()
@@ -132,7 +132,7 @@ main(int argc, char **argv)
                 .kv("disabled", knob.name)
                 .kv("runtime_x", rt)
                 .kv("resource_x", res)
-                .kv("tokens", r.compiled.lowering.stats.tokens)
+                .kv("tokens", r.compiled->lowering.stats.tokens)
                 .kv("cycles", r.sim.cycles)
                 .kv("noc_cycles", noc)
                 .endRow();

@@ -80,11 +80,11 @@ fig9a(const BenchContext &ctx, BenchJson &out)
             t.addRow({std::to_string(par), std::to_string(r.sim.cycles),
                       std::to_string(noc),
                       Table::fmtX(base / r.sim.cycles),
-                      std::to_string(r.compiled.resources.pcus),
-                      std::to_string(r.compiled.resources.pmus),
-                      std::to_string(r.compiled.resources.ags),
+                      std::to_string(r.compiled->resources.pcus),
+                      std::to_string(r.compiled->resources.pmus),
+                      std::to_string(r.compiled->resources.ags),
                       Table::fmt(r.dramGBs(), 1),
-                      r.compiled.resources.fits ? "y" : "n"});
+                      r.compiled->resources.fits ? "y" : "n"});
             out.beginRow()
                 .kv("panel", "a")
                 .kv("app", name)
@@ -92,11 +92,11 @@ fig9a(const BenchContext &ctx, BenchJson &out)
                 .kv("cycles", r.sim.cycles)
                 .kv("noc_cycles", noc)
                 .kv("speedup", base / r.sim.cycles)
-                .kv("pcus", r.compiled.resources.pcus)
-                .kv("pmus", r.compiled.resources.pmus)
-                .kv("ags", r.compiled.resources.ags)
+                .kv("pcus", r.compiled->resources.pcus)
+                .kv("pmus", r.compiled->resources.pmus)
+                .kv("ags", r.compiled->resources.ags)
                 .kv("dram_gbs", r.dramGBs())
-                .kv("fits", r.compiled.resources.fits)
+                .kv("fits", r.compiled->resources.fits)
                 .endRow();
         }
         std::printf("-- %s --\n%s", name.c_str(), t.str().c_str());
@@ -123,7 +123,7 @@ fig9b(const BenchContext &ctx, BenchJson &out)
             bool opts = i % 2 == 0;
             auto pt = run(ctx, name, par, opts);
             pts[i] = {par, opts, pt.r.sim.cycles,
-                      pt.r.compiled.resources.total(), pt.nocCycles};
+                      pt.r.compiled->resources.total(), pt.nocCycles};
         });
         Table t({"par", "opts", "cycles", "cycles (noc)", "total PUs",
                  "pareto"});

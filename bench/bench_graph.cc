@@ -65,9 +65,9 @@ emitRow(BenchJson &out, const std::string &phase,
         .kv("cycles", pt.r.sim.cycles)
         .kv("noc_cycles", pt.nocCycles)
         .kv("gflops", pt.r.gflops())
-        .kv("pcus", pt.r.compiled.resources.pcus)
-        .kv("pmus", pt.r.compiled.resources.pmus)
-        .kv("fits", pt.r.compiled.resources.fits)
+        .kv("pcus", pt.r.compiled->resources.pcus)
+        .kv("pmus", pt.r.compiled->resources.pmus)
+        .kv("fits", pt.r.compiled->resources.fits)
         .endRow();
 }
 
@@ -96,8 +96,8 @@ globalSweep(const BenchContext &ctx, BenchJson &out,
                       std::to_string(pt.nocCycles),
                       Table::fmtX(base / pt.r.sim.cycles),
                       Table::fmt(pt.r.gflops(), 1),
-                      std::to_string(pt.r.compiled.resources.pcus),
-                      std::to_string(pt.r.compiled.resources.pmus)});
+                      std::to_string(pt.r.compiled->resources.pcus),
+                      std::to_string(pt.r.compiled->resources.pmus)});
             emitRow(out, "global", name, "*", pars[p], pt);
         }
         std::printf("-- %s --\n%s", name.c_str(), t.str().c_str());

@@ -42,8 +42,8 @@ main(int argc, char **argv)
         t.addRow({std::to_string(par), std::to_string(r.sim.cycles),
                   Table::fmtX(base / r.sim.cycles),
                   Table::fmt(r.gflops(), 1),
-                  std::to_string(r.compiled.resources.pcus),
-                  std::to_string(r.compiled.resources.pmus),
+                  std::to_string(r.compiled->resources.pcus),
+                  std::to_string(r.compiled->resources.pmus),
                   Table::fmt(r.sim.avgComputeUtilization, 2)});
     }
     std::printf("%s", t.str().c_str());

@@ -16,22 +16,27 @@ runWorkload(const workloads::Workload &w, const RunConfig &config)
 {
     RunOutcome out;
     if (config.preCompiled) {
-        out.compiled = *config.preCompiled;
+        // Aliasing constructor with no owner: borrowed, not copied.
+        out.compiled = std::shared_ptr<const compiler::CompileResult>(
+            std::shared_ptr<const compiler::CompileResult>(),
+            config.preCompiled);
         out.fromCache = true;
     } else if (config.cachingCompiler) {
-        auto compiled =
+        auto c =
             config.cachingCompiler->compile(w.program, config.compiler);
-        out.compiled = *compiled.result;
-        out.fromCache = compiled.fromCache;
-        out.artifactKey = std::move(compiled.key);
+        out.compiled = std::move(c.result);
+        out.fromCache = c.fromCache;
+        out.artifactKey = std::move(c.key);
     } else {
-        out.compiled = compiler::compile(w.program, config.compiler);
+        out.compiled = std::make_shared<const compiler::CompileResult>(
+            compiler::compile(w.program, config.compiler));
     }
+    const compiler::CompileResult &compiled = *out.compiled;
 
     // Merge the compile phases into the simulator's trace timeline
     // (one unified Chrome-trace file per run).
     sim::SimOptions simOpt = config.sim;
-    simOpt.compileSpans = &out.compiled.phases;
+    simOpt.compileSpans = &compiled.phases;
     // NoC timing mirrors the chip's network spec (the same numbers PnR
     // used for its scalar estimates). Tokens ride the arbitrated
     // network only under CMMC; the vanilla FSM control uses dedicated
@@ -46,38 +51,46 @@ runWorkload(const workloads::Workload &w, const RunConfig &config)
     simOpt.fabricRows = config.compiler.spec.rows;
     simOpt.fabricCols = config.compiler.spec.cols;
 
-    sim::Simulator simulator(out.compiled.program,
-                             out.compiled.lowering.graph, config.dram,
-                             simOpt);
+    sim::Simulator simulator(compiled.program, compiled.lowering.graph,
+                             config.dram, simOpt);
     for (const auto &[tid, data] : w.dramInputs)
         simulator.setDramTensor(ir::TensorId(tid), data);
     out.sim = simulator.run();
 
     if (config.check) {
         out.checked = true;
-        ir::Interpreter interp(out.compiled.program);
-        for (const auto &[tid, data] : w.dramInputs)
-            interp.setTensor(ir::TensorId(tid), data);
-        auto ref = interp.run();
-        const auto &prog = out.compiled.program;
-        for (size_t t = 0; t < prog.numTensors(); ++t) {
-            const auto &simT = out.sim.tensors[t];
-            if (simT.empty())
-                continue;
-            const auto &refT = ref.tensors[t];
-            if (simT.size() != refT.size()) {
-                out.correct = false;
-                continue;
-            }
-            for (size_t i = 0; i < simT.size(); ++i)
-                if (std::abs(simT[i] - refT[i]) > 1e-4)
-                    out.correct = false;
-        }
+        out.correct = matchesReference(
+            out.sim.tensors, referenceTensors(compiled.program, w));
         if (!out.correct)
             warn("workload ", w.name,
                  " produced results differing from the interpreter");
     }
     return out;
+}
+
+Tensors
+referenceTensors(const ir::Program &program, const workloads::Workload &w)
+{
+    ir::Interpreter interp(program);
+    for (const auto &[tid, data] : w.dramInputs)
+        interp.setTensor(ir::TensorId(tid), data);
+    return interp.run().tensors;
+}
+
+bool
+matchesReference(const Tensors &simulated, const Tensors &reference)
+{
+    for (size_t t = 0; t < simulated.size(); ++t) {
+        const auto &simT = simulated[t];
+        if (simT.empty())
+            continue;
+        if (t >= reference.size() || simT.size() != reference[t].size())
+            return false;
+        for (size_t i = 0; i < simT.size(); ++i)
+            if (std::abs(simT[i] - reference[t][i]) > 1e-4)
+                return false;
+    }
+    return true;
 }
 
 std::string
@@ -88,7 +101,7 @@ summarize(const workloads::Workload &w, const RunOutcome &r)
        << r.timeUs() << " us), " << r.gflops() << " GFLOPS, DRAM "
        << r.dramGBs() << " GB/s, util "
        << r.sim.avgComputeUtilization << ", "
-       << r.compiled.resources.str();
+       << r.compiled->resources.str();
     return os.str();
 }
 
@@ -113,12 +126,12 @@ jsonReport(const workloads::Workload &w, const RunConfig &config,
     j.endObject();
 
     j.key("compile").beginObject();
-    j.kv("total_ms", r.compiled.totalMs());
+    j.kv("total_ms", r.compiled->totalMs());
     j.kv("from_cache", r.fromCache);
     if (!r.artifactKey.empty())
         j.kv("artifact_key", r.artifactKey);
     j.key("phases").beginArray();
-    for (const auto &span : r.compiled.phases) {
+    for (const auto &span : r.compiled->phases) {
         j.beginObject();
         j.kv("name", span.name);
         j.kv("ms", span.durMs);
@@ -130,7 +143,7 @@ jsonReport(const workloads::Workload &w, const RunConfig &config,
         j.endObject();
     }
     j.endArray();
-    const auto &res = r.compiled.resources;
+    const auto &res = r.compiled->resources;
     j.key("resources").beginObject();
     j.kv("pcus", res.pcus).kv("pmus", res.pmus).kv("ags", res.ags);
     j.kv("pcus_avail", res.pcusAvail).kv("pmus_avail", res.pmusAvail);
@@ -140,7 +153,7 @@ jsonReport(const workloads::Workload &w, const RunConfig &config,
     j.kv("controller_units", res.controllerUnits);
     j.kv("fits", res.fits);
     j.endObject();
-    const auto &st = r.compiled.lowering.stats;
+    const auto &st = r.compiled->lowering.stats;
     j.key("cmmc").beginObject();
     j.kv("tokens", st.tokens).kv("credits", st.credits);
     j.kv("fwd_edges_pruned", st.forwardEdgesRemoved);
@@ -150,8 +163,8 @@ jsonReport(const workloads::Workload &w, const RunConfig &config,
     j.kv("sharded", st.shardedTensors);
     j.kv("copy_elided", st.copyElidedBlocks);
     j.endObject();
-    j.kv("partitions_created", r.compiled.partitionsCreated);
-    j.kv("units_merged", r.compiled.unitsMerged);
+    j.kv("partitions_created", r.compiled->partitionsCreated);
+    j.kv("units_merged", r.compiled->unitsMerged);
     j.endObject(); // compile
 
     j.key("sim").beginObject();
@@ -227,7 +240,7 @@ jsonReport(const workloads::Workload &w, const RunConfig &config,
         j.endArray();
         j.endObject();
     }
-    const auto &g = r.compiled.lowering.graph;
+    const auto &g = r.compiled->lowering.graph;
     j.key("units").beginArray();
     for (const auto &u : g.units()) {
         const auto &s = r.sim.unitStats[u.id.index()];

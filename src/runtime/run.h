@@ -9,7 +9,9 @@
  * interpreter, and summarizes the metrics the paper's tables report.
  */
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "artifact/cache.h"
 #include "compiler/driver.h"
@@ -36,7 +38,8 @@ struct RunConfig
     artifact::CachingCompiler *cachingCompiler = nullptr;
     /**
      * Pre-compiled artifact to simulate instead of compiling (set by
-     * `sarac --load-artifact`). Not owned. Takes precedence over
+     * `sarac --load-artifact`). Not owned: the RunOutcome borrows it,
+     * so it must outlive the outcome. Takes precedence over
      * cachingCompiler.
      */
     const compiler::CompileResult *preCompiled = nullptr;
@@ -44,7 +47,9 @@ struct RunConfig
 
 struct RunOutcome
 {
-    compiler::CompileResult compiled;
+    /** Never copied: shared with the compile cache, or borrowed from
+     *  RunConfig::preCompiled. */
+    std::shared_ptr<const compiler::CompileResult> compiled;
     sim::SimResult sim;
     bool checked = false;
     bool correct = true;
@@ -72,6 +77,19 @@ struct RunOutcome
 /** Run one workload end to end. fatal()s on compile/sim errors. */
 RunOutcome runWorkload(const workloads::Workload &w,
                        const RunConfig &config);
+
+/** Final tensors, indexed by ir::TensorId. */
+using Tensors = std::vector<std::vector<double>>;
+
+/** The check's reference step: the sequential interpreter's final
+ *  tensors for `program` (a compile result's) on `w`'s DRAM inputs. */
+Tensors referenceTensors(const ir::Program &program,
+                         const workloads::Workload &w);
+
+/** The check's comparison step: every tensor the simulation produced
+ *  (empty ones are skipped) has its reference's size and lies within
+ *  1e-4 of it elementwise. */
+bool matchesReference(const Tensors &simulated, const Tensors &reference);
 
 /** One-line metric summary for reports. */
 std::string summarize(const workloads::Workload &w, const RunOutcome &r);

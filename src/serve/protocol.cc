@@ -1,5 +1,7 @@
 #include "serve/protocol.h"
 
+#include <cmath>
+
 #include "support/logging.h"
 #include "workloads/workload.h"
 
@@ -54,11 +56,13 @@ intField(const json::Value &v, const std::string &key, int fallback,
         return fallback;
     if (!f->isNumber())
         fatal("request field '", key, "' must be a number");
-    int n = static_cast<int>(f->num);
-    if (n < lo || n > hi)
+    // Range first: converting a double outside int's range is UB.
+    if (!(f->num >= lo && f->num <= hi))
         fatal("request field '", key, "' out of range [", lo, ", ", hi,
               "]");
-    return n;
+    if (f->num != std::trunc(f->num))
+        fatal("request field '", key, "' must be an integer");
+    return static_cast<int>(f->num);
 }
 
 bool
@@ -120,6 +124,7 @@ parseRequest(const std::string &line)
         r.workload = stringField(v, "workload", "");
         if (r.workload.empty())
             fatal("verb '", verb, "' requires a 'workload' field");
+        workloads::checkWorkloadName(r.workload);
         using workloads::WorkloadConfig;
         r.par = intField(v, "par", 16, WorkloadConfig::kMinPar,
                          WorkloadConfig::kMaxPar);
@@ -129,9 +134,11 @@ parseRequest(const std::string &line)
         r.check = boolField(v, "check", false);
         const json::Value *mc = v.find("max_cycles");
         if (mc) {
-            if (!mc->isNumber() || mc->num < 0)
-                fatal("request field 'max_cycles' must be a "
-                      "non-negative number");
+            // 0x1p64 is 2^64, the first double uint64_t cannot hold.
+            if (!mc->isNumber() || !(mc->num >= 0 && mc->num < 0x1p64) ||
+                mc->num != std::trunc(mc->num))
+                fatal("request field 'max_cycles' must be an integer "
+                      "in [0, 2^64)");
             r.maxCycles = static_cast<uint64_t>(mc->num);
         }
     }

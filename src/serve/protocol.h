@@ -28,9 +28,10 @@
  *   compile/run payload: artifact key, from_cache, deduped, and for
  *   run additionally cycles / gflops / time_us.
  *
- * Parsing is strict: unknown verbs, missing workloads, or malformed
- * JSON produce an `error` response on the offending line; the
- * connection (and the daemon) stay up.
+ * Parsing is strict: unknown verbs, missing or unknown workloads,
+ * non-integral or out-of-range numbers, or malformed JSON produce an
+ * `error` response on the offending line; the connection (and the
+ * daemon) stay up.
  */
 
 #include <cstdint>
@@ -66,8 +67,8 @@ struct Request
 
 /**
  * Parse one request line. Throws FatalError with a client-facing
- * message on malformed JSON, schema mismatch, unknown verbs, or
- * out-of-range numeric fields.
+ * message on malformed JSON, schema mismatch, unknown verbs or
+ * workloads, or non-integral or out-of-range numeric fields.
  */
 Request parseRequest(const std::string &line);
 

@@ -63,15 +63,15 @@ checkUnique()
     (void)ok;
 }
 
-} // namespace
-
-Workload
-buildByName(const std::string &name, const WorkloadConfig &cfg)
+/** The registry entry for `name`; fatal() on unknown names, listing
+ *  the valid ones. */
+const Entry &
+find(const std::string &name)
 {
     checkUnique();
     for (const Entry &e : kRegistry)
         if (name == e.name)
-            return e.build(cfg);
+            return e;
 
     std::string known;
     for (const Entry &e : kRegistry) {
@@ -80,6 +80,20 @@ buildByName(const std::string &name, const WorkloadConfig &cfg)
         known += e.name;
     }
     fatal("unknown workload '", name, "' (valid: ", known, ")");
+}
+
+} // namespace
+
+Workload
+buildByName(const std::string &name, const WorkloadConfig &cfg)
+{
+    return find(name).build(cfg);
+}
+
+void
+checkWorkloadName(const std::string &name)
+{
+    find(name);
 }
 
 std::vector<std::string>

@@ -70,6 +70,10 @@ Workload buildSgd(const WorkloadConfig &cfg);
  *  fatal() on unknown names, listing the valid ones. */
 Workload buildByName(const std::string &name, const WorkloadConfig &cfg);
 
+/** fatal() with buildByName's message when `name` is not a workload
+ *  buildByName accepts; builds nothing. */
+void checkWorkloadName(const std::string &name);
+
 /** The hand-built Table IV suite names in the canonical order (the
  *  set golden bench rows and the paper-figure sweeps are keyed to). */
 std::vector<std::string> workloadNames();

@@ -352,7 +352,7 @@ TEST(NocSim, ContentionChangesCyclesAndIsFullyAttributed)
               0u);
 
     rc.sim.useNoc = true;
-    rc.preCompiled = &legacy.compiled; // Same graph, contended network.
+    rc.preCompiled = legacy.compiled.get(); // Same graph, contended network.
     auto noc = runtime::runWorkload(w, rc);
 
     EXPECT_TRUE(noc.sim.noc.enabled);
@@ -365,7 +365,7 @@ TEST(NocSim, ContentionChangesCyclesAndIsFullyAttributed)
 
     // Exact accounting: busy + attributed stalls == doneAt, per engine.
     std::array<uint64_t, sim::kNumStallCauses> sums{};
-    const auto &g = noc.compiled.lowering.graph;
+    const auto &g = noc.compiled->lowering.graph;
     for (const auto &u : g.units()) {
         const auto &s = noc.sim.unitStats[u.id.index()];
         if (s.firings == 0 && s.skips == 0 && s.stallTotal() == 0)

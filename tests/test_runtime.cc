@@ -1,8 +1,9 @@
 /**
  * @file
  * Runtime-harness and printer tests: runWorkload's check path and
- * metrics, summarize() formatting, and golden-ish structure checks on
- * the IR and VUDFG textual dumps (documentation surfaces).
+ * metrics, the check's 1e-4 comparison, the shared compile result,
+ * summarize() formatting, and golden-ish structure checks on the IR
+ * and VUDFG textual dumps (documentation surfaces).
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +39,32 @@ TEST(Runtime, RunWorkloadChecksAndMeasures)
     EXPECT_NE(s.find("ms:"), std::string::npos);
     EXPECT_NE(s.find("GFLOPS"), std::string::npos);
     EXPECT_NE(s.find("PCU"), std::string::npos);
+}
+
+TEST(Runtime, MatchesReferenceWithinOneTenThousandth)
+{
+    using sara::runtime::matchesReference;
+    const sara::runtime::Tensors ref = {{1.0, 2.0, 3.0}, {4.0}};
+    EXPECT_TRUE(matchesReference(ref, ref));
+    EXPECT_TRUE(matchesReference({{1.0, 2.0 + 5e-5, 3.0}, {4.0}}, ref));
+    EXPECT_FALSE(matchesReference({{1.0, 2.0 + 2e-4, 3.0}, {4.0}}, ref));
+    EXPECT_FALSE(matchesReference({{1.0, 2.0}, {4.0}}, ref));
+    // An empty simulated tensor was optimized away: nothing to check.
+    EXPECT_TRUE(matchesReference({{}, {4.0}}, ref));
+}
+
+TEST(Runtime, OutcomeSharesThePreCompiledResult)
+{
+    workloads::WorkloadConfig cfg;
+    cfg.par = 4;
+    auto w = workloads::buildMs(cfg);
+    sara::runtime::RunConfig rc;
+    rc.compiler.pnrIterations = 200;
+    auto first = sara::runtime::runWorkload(w, rc);
+    rc.preCompiled = first.compiled.get();
+    auto again = sara::runtime::runWorkload(w, rc);
+    EXPECT_EQ(again.compiled.get(), first.compiled.get()); // Not a copy.
+    EXPECT_EQ(again.sim.cycles, first.sim.cycles);
 }
 
 TEST(Runtime, TraceFileWritten)

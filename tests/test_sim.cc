@@ -583,7 +583,7 @@ TEST(Stalls, EveryCycleIsAttributed)
         auto r = runtime::runWorkload(w, rc);
 
         std::array<uint64_t, sim::kNumStallCauses> sums{};
-        const auto &g = r.compiled.lowering.graph;
+        const auto &g = r.compiled->lowering.graph;
         for (const auto &u : g.units()) {
             const auto &s = r.sim.unitStats[u.id.index()];
             if (s.firings == 0 && s.skips == 0 && s.stallTotal() == 0)

@@ -163,16 +163,16 @@ printReport(const workloads::Workload &w, const CliOptions &cli,
                     r.artifactKey.c_str());
     } else {
         std::printf("compile:");
-        for (const auto &span : r.compiled.phases) {
+        for (const auto &span : r.compiled->phases) {
             if (span.depth == 0)
                 continue; // Root span printed as the total below.
             std::printf(" %s %.1fms,", span.name.c_str(), span.durMs);
         }
-        std::printf(" (total %.1fms)\n", r.compiled.totalMs());
+        std::printf(" (total %.1fms)\n", r.compiled->totalMs());
     }
     std::printf("graph: %s\n",
-                r.compiled.lowering.graph.summary().c_str());
-    const auto &st = r.compiled.lowering.stats;
+                r.compiled->lowering.graph.summary().c_str());
+    const auto &st = r.compiled->lowering.stats;
     std::printf("cmmc: %d tokens (%d credits), %d fwd edges pruned, "
                 "%d bwd pruned; %d fifo-lowered, %d multibuffered, "
                 "%d sharded, %d copy-elided\n",
@@ -180,7 +180,7 @@ printReport(const workloads::Workload &w, const CliOptions &cli,
                 st.backwardEdgesRemoved, st.fifoLoweredTensors,
                 st.multibufferedTensors, st.shardedTensors,
                 st.copyElidedBlocks);
-    std::printf("resources: %s\n", r.compiled.resources.str().c_str());
+    std::printf("resources: %s\n", r.compiled->resources.str().c_str());
     std::printf("runtime: %llu cycles (%.2f us @1GHz), %.1f GFLOPS, "
                 "DRAM %.1f GB/s, compute util %.2f\n",
                 static_cast<unsigned long long>(r.sim.cycles),
@@ -205,7 +205,7 @@ printReport(const workloads::Workload &w, const CliOptions &cli,
 
     if (cli.unitTable) {
         Table t({"unit", "firings", "skips", "busy", "first", "last"});
-        const auto &g = r.compiled.lowering.graph;
+        const auto &g = r.compiled->lowering.graph;
         for (const auto &u : g.units()) {
             const auto &s = r.sim.unitStats[u.id.index()];
             if (s.firings == 0 && s.skips == 0)
@@ -226,7 +226,7 @@ printReport(const workloads::Workload &w, const CliOptions &cli,
                 sim::stallCauseName(static_cast<sim::StallCause>(c)));
         header.push_back("done@");
         Table t(header);
-        const auto &g = r.compiled.lowering.graph;
+        const auto &g = r.compiled->lowering.graph;
         for (const auto &u : g.units()) {
             const auto &s = r.sim.unitStats[u.id.index()];
             if (s.firings == 0 && s.skips == 0 && s.stallTotal() == 0)
@@ -364,12 +364,12 @@ runSingle(CliOptions &cli)
                               ? artifact::contentKey(w.program,
                                                      cli.rc.compiler)
                               : r.artifactKey;
-        artifact::writeArtifactFile(cli.emitArtifact, key, r.compiled);
+        artifact::writeArtifactFile(cli.emitArtifact, key, *r.compiled);
         inform("wrote artifact to ", cli.emitArtifact);
     }
 
     if (cli.dumpGraph)
-        std::printf("%s\n", r.compiled.lowering.graph.str().c_str());
+        std::printf("%s\n", r.compiled->lowering.graph.str().c_str());
     printReport(w, cli, r);
     if (!cli.jsonFile.empty())
         runtime::writeJsonReport(cli.jsonFile, w, cli.rc, r);

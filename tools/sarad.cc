@@ -19,8 +19,10 @@
  *   --cache-dir DIR     on-disk artifact cache (also honours
  *                       $SARA_CACHE_DIR via --cache)
  *   --cache             on-disk cache at the default location
- *   --mem-entries N     compile results kept ready in memory, least
- *                       recently used evicted first (default 64)
+ *   --mem-entries N     compile results, and request tuples with
+ *                       their workload, key and check reference, kept
+ *                       in memory; least recently used evicted first
+ *                       (default 64 each)
  *   --tenant-weight T=W fair-share weight for tenant T (repeatable;
  *                       unlisted tenants weigh 1)
  *   --retries N         TransientError retries per request, 0-100
