@@ -23,7 +23,8 @@
  *                    in-process server (CI smoke uses this)
  *   --out FILE       report path (default BENCH_serve.json)
  *   --quick          shorter steps (CI)
- *   --workers N      in-process server worker threads, 1-256 (default 4)
+ *   --workers N      in-process server worker threads, 1-256 (default
+ *                    4); the load follows the daemon's own count
  *   --queue-depth N  in-process admission bound (default 32)
  */
 
@@ -289,10 +290,22 @@ main(int argc, char **argv)
 
     // --- Capacity estimate (closed loop) ------------------------------
     // Serial round trips of the warm `run` request give the per-worker
-    // service time; the sweep rates bracket workers/service.
+    // service time; the sweep rates bracket workers/service, with the
+    // worker count the daemon itself reports (an external daemon need
+    // not run --workers of them).
     double serviceMs;
+    int workers;
     {
         serve::Client client(socket);
+        serve::Request st;
+        st.id = "workers";
+        st.verb = serve::Verb::Stats;
+        json::Value v = client.call(st);
+        const json::Value *stats = v.find("stats");
+        const json::Value *n = stats ? stats->find("workers") : nullptr;
+        if (!n || !n->isNumber())
+            fatal("bench_serve: the stats reply names no worker count");
+        workers = static_cast<int>(n->num);
         client.call(runRequest("prewarm", "default", workload, par));
         const int probes = opt.quick ? 20 : 50;
         auto t0 = Clock::now();
@@ -301,9 +314,6 @@ main(int argc, char **argv)
                                    "default", workload, par));
         serviceMs = msBetween(t0, Clock::now()) / probes;
     }
-    int workers = opt.workers;
-    if (server)
-        workers = server->workers();
     double capacityRps = workers / (serviceMs / 1e3);
     std::printf("[bench] closed-loop service %.2fms -> est. capacity "
                 "%.0f req/s on %d workers\n",

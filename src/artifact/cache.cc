@@ -322,52 +322,13 @@ ArtifactCache::quarantinedCount() const
 // CachingCompiler
 // ---------------------------------------------------------------------------
 
-void
-CachingCompiler::makeReady(Entry &e, Result r)
-{
-    e.pending = {};
-    e.ready = std::move(r);
-    e.lastUse = ++tick_;
-    ++readyCount_;
-    while (readyCount_ > keep_) {
-        auto lru = table_.end();
-        for (auto it = table_.begin(); it != table_.end(); ++it)
-            if (it->second.ready &&
-                (lru == table_.end() ||
-                 it->second.lastUse < lru->second.lastUse))
-                lru = it;
-        table_.erase(lru);
-        --readyCount_;
-    }
-}
-
 CachingCompiler::Compiled
 CachingCompiler::compile(const ir::Program &input,
                          const compiler::CompilerOptions &options)
 {
-    return compile(
-        contentKey(input, options),
-        [&]() -> const ir::Program & { return input; }, options);
-}
-
-CachingCompiler::Compiled
-CachingCompiler::compile(const std::string &key,
-                         const std::function<const ir::Program &()> &input,
-                         const compiler::CompilerOptions &options)
-{
     Compiled out;
-    out.key = key;
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = table_.find(key);
-        if (it != table_.end() && it->second.ready) {
-            it->second.lastUse = ++tick_;
-            out.result = it->second.ready;
-            out.fromCache = out.fromMemory = true;
-            return out;
-        }
-    }
+    out.key = contentKey(input, options);
+    const std::string &key = out.key;
 
     if (inj_ && inj_->compileFault(key))
         throw TransientError(
@@ -378,56 +339,44 @@ CachingCompiler::compile(const std::string &key,
             out.result = std::make_shared<const compiler::CompileResult>(
                 std::move(*hit));
             out.fromCache = true;
-            std::lock_guard<std::mutex> lock(mu_);
-            auto [it, added] = table_.try_emplace(key);
-            if (added)
-                makeReady(it->second, out.result);
             return out;
         }
     }
 
-    // Claim the key, or join the compile that holds it. An entry that
-    // turned ready since the first probe was compiled concurrently
-    // with this call: count it as joined.
+    // Claim the key, or join the compile that holds it.
     std::promise<Result> promise;
     std::shared_future<Result> joined;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto [it, claimed] = table_.try_emplace(key);
-        Entry &e = it->second;
-        if (claimed) {
-            e.pending = promise.get_future().share();
-        } else if (e.ready) {
-            e.lastUse = ++tick_;
-            out.result = e.ready;
-        } else {
-            joined = e.pending;
-        }
+        auto [it, claimed] = inflight_.try_emplace(key);
+        if (claimed)
+            it->second = promise.get_future().share();
+        else
+            joined = it->second;
     }
-    if (out.result || joined.valid()) {
+    if (joined.valid()) {
         telemetry::Registry::global().add("jobs.compile.deduped");
-        if (!out.result)
-            out.result = joined.get(); // Rethrows the owner's failure.
+        out.result = joined.get(); // Rethrows the owner's failure.
         out.deduped = true;
         return out;
     }
 
     try {
         out.result = std::make_shared<const compiler::CompileResult>(
-            compiler::compile(input(), options));
+            compiler::compile(input, options));
         if (cache_)
             cache_->store(key, *out.result);
     } catch (...) {
         {
             std::lock_guard<std::mutex> lock(mu_);
-            table_.erase(key);
+            inflight_.erase(key);
         }
         promise.set_exception(std::current_exception());
         throw;
     }
     promise.set_value(out.result);
     std::lock_guard<std::mutex> lock(mu_);
-    makeReady(table_.at(key), out.result);
+    inflight_.erase(key);
     return out;
 }
 

@@ -27,17 +27,14 @@
  *   artifact.cache.fault.enospc / .fault.short_write (injected)
  *   jobs.compile.deduped (CachingCompiler in-flight dedup)
  *
- * CachingCompiler is the one compile cache in front of the disk: a
- * table keyed by content key whose entries are either pending (a
- * compile in flight) or ready (a finished result kept in memory). It
- * is thread-safe: concurrent compiles of *different* keys proceed in
- * parallel; concurrent compiles of the *same* key are deduplicated —
- * one thread compiles, the rest block on its result — and a repeat
- * within the table's `keep` bound shares the ready result by pointer.
+ * CachingCompiler is thread-safe: concurrent compiles of *different*
+ * keys proceed in parallel; concurrent compiles of the *same* key are
+ * deduplicated — one thread compiles, the rest block on its result.
+ * It keeps no finished result in memory: a caller that repeats a key
+ * holds the result itself (sarad's request memo does).
  */
 
 #include <chrono>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -169,47 +166,31 @@ class ArtifactCache
 
 /**
  * Cache-aware, deduplicating compile service. Stateless users call
- * compile(); everything else (key derivation, the memory table, the
- * disk probe, in-flight dedup, store-back) is handled here.
+ * compile(); everything else (key derivation, the disk probe,
+ * in-flight dedup, store-back) is handled here.
  *
- * A ready table entry is a memory hit: it skips the compile-fault
- * injector and the disk. Otherwise compile() decides an injected
- * fault, probes the disk, then joins the pending entry for the key or
- * claims it and compiles. At most `keep` ready entries stay, least
- * recently used evicted first; a pending entry is never evicted. With
- * `keep` 0 an entry lives only while its compile is in flight (dedup
- * only). A compile that throws hands its exception to every caller
- * that joined it and leaves no entry behind.
+ * compile() decides an injected fault, probes the disk, then joins the
+ * compile in flight for the key or claims the key and compiles. A
+ * claim lives only while its compile runs. A compile that throws hands
+ * its exception to every caller that joined it.
  */
 class CachingCompiler
 {
   public:
     /** `cache` may be null (no disk). Not owned. */
-    explicit CachingCompiler(ArtifactCache *cache, size_t keep = 0)
-        : cache_(cache), keep_(keep)
-    {
-    }
+    explicit CachingCompiler(ArtifactCache *cache) : cache_(cache) {}
 
     struct Compiled
     {
-        /** Shared with the table and with every caller of the key. */
+        /** Shared with every caller that joined the compile. */
         std::shared_ptr<const compiler::CompileResult> result;
         std::string key;
-        bool fromCache = false;  ///< Served from memory or disk.
-        bool fromMemory = false; ///< Served from a ready table entry.
-        bool deduped = false;    ///< Joined an identical compile.
+        bool fromCache = false; ///< Served from disk, not compiled.
+        bool deduped = false;   ///< Joined an identical compile.
     };
 
     /** Compile (or fetch) `input` under `options`. Thread-safe. */
     Compiled compile(const ir::Program &input,
-                     const compiler::CompilerOptions &options);
-
-    /** As above, for a caller that already holds `key`, which must be
-     *  contentKey(input(), options): the table is probed without
-     *  hashing, and `input` is called only when the key is compiled
-     *  afresh, so a caller may keep the key without the program. */
-    Compiled compile(const std::string &key,
-                     const std::function<const ir::Program &()> &input,
                      const compiler::CompilerOptions &options);
 
     ArtifactCache *cache() const { return cache_; }
@@ -226,25 +207,11 @@ class CachingCompiler
   private:
     using Result = std::shared_ptr<const compiler::CompileResult>;
 
-    /** Pending until `ready` is set; then `pending` is empty. */
-    struct Entry
-    {
-        std::shared_future<Result> pending;
-        Result ready;
-        uint64_t lastUse = 0;
-    };
-
-    /** Make `e` ready with `r`, then evict least recently used ready
-     *  entries down to `keep_` (possibly `e` itself). Holds `mu_`. */
-    void makeReady(Entry &e, Result r);
-
     ArtifactCache *cache_;
-    const size_t keep_;
     const fault::FaultInjector *inj_ = nullptr;
     std::mutex mu_;
-    std::unordered_map<std::string, Entry> table_; ///< Guarded by mu_.
-    size_t readyCount_ = 0;                        ///< Guarded by mu_.
-    uint64_t tick_ = 0;                            ///< Guarded by mu_.
+    /** Compiles in flight, by key. Guarded by mu_. */
+    std::unordered_map<std::string, std::shared_future<Result>> inflight_;
 };
 
 } // namespace sara::artifact

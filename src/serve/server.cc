@@ -69,34 +69,44 @@ struct Server::Conn
     }
 };
 
-/** A request tuple (workload, par, scale) fixes the program and its
- *  inputs, and the compiler is fixed for the life of the process, so
- *  nothing here goes stale. A compile needs only the content key (the
- *  compile cache holds the result); a run also needs the built
- *  workload for its inputs, and a check the interpreter's final
- *  tensors. Each is kept from the first request that needs it, so a
+/** The one in-memory home of a request tuple (workload, par, scale).
+ *  The tuple fixes the program and its inputs, and the compiler is
+ *  fixed for the life of the process, so nothing here goes stale. The
+ *  compile result, the built workload and the interpreter's reference
+ *  tensors are each filled by the first request that needs them while
+ *  concurrent requests on the tuple wait. A run keeps the workload for
+ *  its inputs; a compile builds the program only to compile it, so a
  *  tuple that is only compiled keeps no program and no inputs. */
 struct Server::Memo
 {
-    explicit Memo(std::string k) : key(std::move(k)) {}
+    using Compiled = artifact::CachingCompiler::Compiled;
 
-    const std::string key;
     uint64_t lastUse = 0; ///< Guarded by Server::memoMu_.
 
-    /** The built workload, kept from the first call: `fresh` when the
-     *  caller has just built one, else built here. */
-    std::shared_ptr<const workloads::Workload>
-    workload(const Request &req,
-             std::shared_ptr<const workloads::Workload> fresh)
+    /** The tuple's compile result, and for a run its workload in `w`.
+     *  The first caller compiles the program through `compile` under
+     *  the entry's lock, so concurrent callers wait for that compile
+     *  instead of starting their own; a compile that throws leaves no
+     *  result, so the next caller compiles afresh. `kept` tells
+     *  whether the entry already held the result. */
+    template <typename Compile>
+    const Compiled &
+    compiled(const Request &req, std::shared_ptr<const workloads::Workload> &w,
+             bool &kept, Compile &&compile)
     {
         std::lock_guard<std::mutex> lock(mu);
-        if (!built)
-            built = fresh ? std::move(fresh) : buildWorkload(req);
-        return built;
+        if (req.verb == Verb::Run && !built)
+            built = buildWorkload(req);
+        w = built;
+        kept = result.has_value();
+        if (!kept)
+            result = compile(built ? built->program
+                                   : buildWorkload(req)->program);
+        return *result; // Never reassigned once set.
     }
 
-    /** The interpreter's final tensors for `compiled` (the compile
-     *  result for `key`) on `input`'s inputs, computed by the first
+    /** The interpreter's final tensors for `compiled` (the tuple's
+     *  compiled program) on `input`'s inputs, computed by the first
      *  caller; concurrent callers wait for it. */
     const runtime::Tensors &
     reference(const ir::Program &compiled, const workloads::Workload &input)
@@ -112,6 +122,7 @@ struct Server::Memo
   private:
     std::mutex mu;
     std::shared_ptr<const workloads::Workload> built; ///< Guarded by mu.
+    std::optional<Compiled> result;                   ///< Guarded by mu.
     std::optional<runtime::Tensors> ref;              ///< Guarded by mu.
 };
 
@@ -153,8 +164,7 @@ Server::start()
         if (opt_.fault)
             cache_->setFaultInjector(opt_.fault);
     }
-    compiler_ = std::make_unique<artifact::CachingCompiler>(
-        cache_.get(), opt_.memCacheEntries);
+    compiler_ = std::make_unique<artifact::CachingCompiler>(cache_.get());
     if (opt_.fault)
         compiler_->setFaultInjector(opt_.fault);
 
@@ -631,30 +641,15 @@ Server::watchdogLoop()
 }
 
 std::shared_ptr<Server::Memo>
-Server::memoFor(const Request &req, const compiler::CompilerOptions &copt,
-                std::shared_ptr<const workloads::Workload> &built)
+Server::memoFor(const Request &req)
 {
-    MemoKey k{req.workload, req.par, req.scale};
-    {
-        std::lock_guard<std::mutex> lock(memoMu_);
-        auto it = memo_.find(k);
-        if (it != memo_.end()) {
-            it->second->lastUse = ++memoTick_;
-            count("serve.memo.hit");
-            return it->second;
-        }
-    }
-    count("serve.memo.miss");
-    built = buildWorkload(req);
-    auto m = std::make_shared<Memo>(
-        artifact::contentKey(built->program, copt));
     if (opt_.memCacheEntries == 0)
-        return m;
-
-    // A concurrent miss on the same tuple may have stored it first:
-    // share that entry, so its reference is computed once.
+        return std::make_shared<Memo>();
     std::lock_guard<std::mutex> lock(memoMu_);
-    auto it = memo_.try_emplace(std::move(k), std::move(m)).first;
+    auto [it, added] =
+        memo_.try_emplace(MemoKey{req.workload, req.par, req.scale});
+    if (added)
+        it->second = std::make_shared<Memo>();
     it->second->lastUse = ++memoTick_;
     while (memo_.size() > opt_.memCacheEntries) {
         auto lru = memo_.begin();
@@ -673,31 +668,27 @@ Server::executeCompileOrRun(const Request &req, double queueMs,
 {
     auto t0 = std::chrono::steady_clock::now();
     compiler::CompilerOptions copt; // Server-wide defaults.
-    std::shared_ptr<const workloads::Workload> w; // Set on a miss.
-    std::shared_ptr<Memo> m = memoFor(req, copt, w);
-    if (req.verb == Verb::Run)
-        w = m->workload(req, std::move(w));
-
-    // Only a fresh compile reads the program; a compile that hit the
-    // memo holds just the key and builds the workload for it here.
-    auto program = [&]() -> const ir::Program & {
-        if (!w)
-            w = buildWorkload(req);
-        return w->program;
-    };
-    artifact::CachingCompiler::Compiled c;
-    jobs::retryTransient(
-        [&] { c = compiler_->compile(m->key, program, copt); },
-        opt_.maxAttempts, "sarad: " + req.workload, "serve.retried");
-    count(c.fromMemory ? "serve.memcache.hit" : "serve.memcache.miss");
+    std::shared_ptr<Memo> m = memoFor(req);
+    std::shared_ptr<const workloads::Workload> w; // Set for a run.
+    bool kept = false;
+    const Memo::Compiled &c =
+        m->compiled(req, w, kept, [&](const ir::Program &program) {
+            Memo::Compiled fresh;
+            jobs::retryTransient(
+                [&] { fresh = compiler_->compile(program, copt); },
+                opt_.maxAttempts, "sarad: " + req.workload,
+                "serve.retried");
+            return fresh;
+        });
+    count(kept ? "serve.memcache.hit" : "serve.memcache.miss");
 
     ResponseBuilder b(req.id, "ok");
     b.kv("verb", verbName(req.verb))
         .kv("tenant", req.tenant)
         .kv("workload", req.workload)
         .kv("key", c.key)
-        .kv("from_cache", c.fromCache)
-        .kv("deduped", c.deduped);
+        .kv("from_cache", kept || c.fromCache)
+        .kv("deduped", !kept && c.deduped);
 
     if (req.verb == Verb::Run) {
         runtime::RunConfig rc;

@@ -20,17 +20,16 @@
  *     offered load complete within a hair of each other even at
  *     saturation.
  *   - dedup + warm caches: a request's (workload, par, scale) tuple
- *     fixes its program and inputs, so a memo keyed by the tuple
- *     keeps its artifact SHA-256 content key, from the tuple's first
- *     `run` the built workload (a compile needs only the key) and,
- *     after its first `check`, the interpreter's reference tensors; a
- *     repeat builds, hashes and interprets nothing. Every compile and
- *     run request then calls artifact::CachingCompiler once with that
- *     key, which reads the program only to compile afresh. Its table
- *     keeps the last `memCacheEntries` decoded CompileResults ready
- *     in memory and collapses identical concurrent compiles into one;
- *     behind it sits the on-disk artifact cache. A repeat request is
- *     served at memory speed without recompiling.
+ *     fixes its program and inputs, so one memo keyed by the tuple is
+ *     sarad's in-memory table. An entry keeps the tuple's decoded
+ *     CompileResult (with its artifact SHA-256 content key), from its
+ *     first `run` the built workload and, after its first `check`, the
+ *     interpreter's reference tensors; each is filled by the first
+ *     request that needs it while concurrent requests on the tuple
+ *     wait. A repeat builds, hashes, compiles and interprets nothing.
+ *     Only the request that fills the compile calls
+ *     artifact::CachingCompiler, which probes the on-disk artifact
+ *     cache and collapses identical concurrent compiles into one.
  *   - failure isolation: worker exceptions become structured `error`
  *     responses (HangError carries the full FailureReport JSON);
  *     TransientErrors are retried through the batch runner's
@@ -72,10 +71,6 @@
 #include "artifact/cache.h"
 #include "jobs/fair.h"
 #include "serve/protocol.h"
-
-namespace sara::workloads {
-struct Workload;
-} // namespace sara::workloads
 
 namespace sara::serve {
 
@@ -135,8 +130,10 @@ struct ServerOptions
      *  compile results live in memory only. */
     std::string cacheDir;
     bool useDiskCache = false;
-    /** Ready compile results the compile cache keeps in memory, and
-     *  request tuples the memo in front of it keeps (each LRU). */
+    /** Request tuples kept in memory, each with its compile result,
+     *  workload and reference; least recently used evicted first. 0
+     *  keeps none: every request compiles (or joins a compile in
+     *  flight, or reads the disk). */
     size_t memCacheEntries = 64;
     /** Total attempts for TransientError requests (1 = no retry). */
     int maxAttempts = 2;
@@ -261,12 +258,9 @@ class Server
      *  the workload's breaker is open. */
     bool breakerAllows(const Request &req, std::string &line);
     void breakerRecord(const std::string &workload, bool failed);
-    /** The memo for `req`'s (workload, par, scale): a hit, or a miss
-     *  that builds the workload into `built`, hashes it under `copt`
-     *  and keeps the key. */
-    std::shared_ptr<Memo>
-    memoFor(const Request &req, const compiler::CompilerOptions &copt,
-            std::shared_ptr<const workloads::Workload> &built);
+    /** The memo entry for `req`'s (workload, par, scale), inserted
+     *  empty when absent (a private one when memCacheEntries is 0). */
+    std::shared_ptr<Memo> memoFor(const Request &req);
 
     ServerOptions opt_;
     int workers_ = 0;
@@ -278,8 +272,8 @@ class Server
     std::unique_ptr<artifact::ArtifactCache> cache_;
     std::unique_ptr<artifact::CachingCompiler> compiler_;
 
-    // Request-tuple memo in front of compiler_, at most
-    // memCacheEntries, least recently used evicted first.
+    // Request-tuple memo, at most memCacheEntries, least recently used
+    // evicted first.
     std::mutex memoMu_;
     std::map<MemoKey, std::shared_ptr<Memo>> memo_;
     uint64_t memoTick_ = 0;

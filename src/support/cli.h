@@ -83,10 +83,18 @@ class CliArgs
     T
     number(T lo, T hi)
     {
-        T v = number<T>();
-        if (v < lo || v > hi)
-            fail(arg_ + " " + std::to_string(v) + " out of range [" +
-                 std::to_string(lo) + ", " + std::to_string(hi) + "]");
+        return inRange(number<T>(), lo, hi);
+    }
+
+    /** `v`, a number of the current flag's value, if it lies inside
+     *  [lo, hi] (NaN never does); otherwise fail naming the range. */
+    template <typename T>
+    T
+    inRange(T v, T lo, T hi) const
+    {
+        if (!(v >= lo && v <= hi))
+            fail(arg_ + " " + show(v) + " out of range [" + show(lo) +
+                 ", " + show(hi) + "]");
         return v;
     }
 
@@ -132,6 +140,15 @@ class CliArgs
     }
 
   private:
+    /** Shortest text that reads back as `v` ("1e+12", "0.001", "nan"). */
+    template <typename T>
+    static std::string
+    show(T v)
+    {
+        char buf[64];
+        return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    }
+
     int argc_;
     char **argv_;
     std::string prog_;

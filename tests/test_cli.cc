@@ -156,6 +156,14 @@ TEST(Cli, UsageErrorsExitTwo)
           {sarad, "--workers 257", "[1, 256]"},
           {sarad, "--retries -1", "[0, 100]"},
           {sarad, "--retries 2147483647", "[0, 100]"},
+          // Durations and weights must be finite and in range: NaN
+          // never half-opens a breaker, 1e12 overflows the watchdog's
+          // tick, and an infinite weight starves every other tenant.
+          {sarad, "--read-deadline-ms nan", "[0, 86400000]"},
+          {sarad, "--request-deadline-ms 1e12", "[0, 86400000]"},
+          {sarad, "--breaker-cooldown-ms -1", "[0, 86400000]"},
+          {sarad, "--tenant-weight a=inf", "[0.001, 1000]"},
+          {sarad, "--tenant-weight a=0", "[0.001, 1000]"},
           {bench + "/bench_fig10_opts", "-j 0", "[1, 256]"},
           {bench + "/bench_serve", "--workers 257", "[1, 256]"}}) {
         expectUsageError(binary, args);

@@ -952,21 +952,18 @@ TEST(ServeServer, RepeatedTupleBuildsHashesAndInterpretsOnce)
             EXPECT_EQ(c.at("key").str, key) << i;
             EXPECT_EQ(r.at("cycles").num, cycles) << i;
         }
-        EXPECT_EQ(reg.counter("serve.memo.miss"), 1u);
-        EXPECT_EQ(reg.counter("serve.memo.hit"), uint64_t(2 * rounds - 1));
-        EXPECT_EQ(reg.counter("serve.workload.built"), 1u);
-        EXPECT_EQ(reg.counter("serve.reference.computed"), 1u);
-        // Memo hits still go through the compile table.
         EXPECT_EQ(reg.counter("serve.memcache.miss"), 1u);
         EXPECT_EQ(reg.counter("serve.memcache.hit"),
                   uint64_t(2 * rounds - 1));
+        EXPECT_EQ(reg.counter("serve.workload.built"), 1u);
+        EXPECT_EQ(reg.counter("serve.reference.computed"), 1u);
     }
     server.requestStop();
     server.wait();
     reg.setEnabled(false);
 }
 
-TEST(ServeServer, CompiledTupleKeepsOnlyItsKeyUntilARun)
+TEST(ServeServer, CompiledTupleKeepsNoWorkloadUntilARun)
 {
     auto &reg = telemetry::Registry::global();
     reg.clear();
@@ -986,9 +983,10 @@ TEST(ServeServer, CompiledTupleKeepsOnlyItsKeyUntilARun)
                 key = c.at("key").str;
             EXPECT_EQ(c.at("key").str, key) << i;
         }
-        // The miss built the workload for its key and its one compile.
+        // The miss built the program for its one compile.
         EXPECT_EQ(reg.counter("serve.workload.built"), 1u);
         EXPECT_EQ(reg.counter("serve.memcache.miss"), 1u);
+        EXPECT_EQ(reg.counter("serve.memcache.hit"), 2u);
 
         // The first run builds the inputs once more and keeps them.
         double cycles = 0.0;
@@ -1005,23 +1003,22 @@ TEST(ServeServer, CompiledTupleKeepsOnlyItsKeyUntilARun)
         }
         EXPECT_EQ(reg.counter("serve.workload.built"), 2u);
         EXPECT_EQ(reg.counter("serve.reference.computed"), 1u);
-        EXPECT_EQ(reg.counter("serve.memo.miss"), 1u);
-        EXPECT_EQ(reg.counter("serve.memo.hit"), 4u);
         EXPECT_EQ(reg.counter("serve.memcache.miss"), 1u);
+        EXPECT_EQ(reg.counter("serve.memcache.hit"), 4u);
     }
     server.requestStop();
     server.wait();
     reg.setEnabled(false);
 }
 
-TEST(ServeServer, KeyOnlyTupleBuildsItsProgramForAFreshCompile)
+TEST(ServeServer, FailedCompileLeavesTheNextRequestToCompileAfresh)
 {
     auto &reg = telemetry::Registry::global();
     reg.clear();
     reg.setEnabled(true);
 
-    // Both attempts of the first compile fail, so the memo keeps the
-    // tuple's key while the compile cache holds nothing for it.
+    // Both attempts of the first compile fail, so the tuple's entry
+    // holds no result and keeps no program.
     std::vector<fault::FaultSpec> plan = {
         fault::parseFaultSpec("compile-fault:count=2")};
     fault::FaultInjector inj(plan, 1);
@@ -1039,7 +1036,8 @@ TEST(ServeServer, KeyOnlyTupleBuildsItsProgramForAFreshCompile)
         json::Value c = client.call(compileReq("c1", "ms", 4));
         ASSERT_EQ(c.at("status").str, "ok") << c.at("error").str;
         EXPECT_FALSE(c.at("from_cache").boolean);
-        EXPECT_EQ(reg.counter("serve.memo.hit"), 1u);
+        EXPECT_EQ(reg.counter("serve.memcache.miss"), 1u);
+        EXPECT_EQ(reg.counter("serve.memcache.hit"), 0u);
         EXPECT_EQ(reg.counter("serve.workload.built"), 2u);
     }
     server.requestStop();
@@ -1074,10 +1072,10 @@ TEST(ServeServer, MemoOfOneEntryEvictsAlternatingTuples)
                 cycles.try_emplace(run.workload, r.at("cycles").num).first;
             EXPECT_EQ(r.at("cycles").num, it->second) << i;
         }
-        EXPECT_EQ(reg.counter("serve.memo.miss"), uint64_t(n));
-        EXPECT_EQ(reg.counter("serve.memo.hit"), 0u);
-        EXPECT_EQ(reg.counter("serve.reference.computed"), uint64_t(n));
         EXPECT_EQ(reg.counter("serve.memcache.miss"), uint64_t(n));
+        EXPECT_EQ(reg.counter("serve.memcache.hit"), 0u);
+        EXPECT_EQ(reg.counter("serve.workload.built"), uint64_t(n));
+        EXPECT_EQ(reg.counter("serve.reference.computed"), uint64_t(n));
     }
     server.requestStop();
     server.wait();
@@ -1107,12 +1105,105 @@ TEST(ServeServer, ConcurrentChecksComputeOneReference)
             ASSERT_EQ(v->at("status").str, "ok") << v->at("error").str;
             EXPECT_TRUE(v->at("correct").boolean);
         }
-        // Concurrent first requests may each build the tuple, but they
-        // share one memo entry and so one reference.
-        EXPECT_EQ(reg.counter("serve.memo.miss") +
-                      reg.counter("serve.memo.hit"),
-                  uint64_t(n));
+        // Concurrent first requests share one entry: one of them
+        // builds, compiles and interprets while the rest wait for it.
+        EXPECT_EQ(reg.counter("serve.workload.built"), 1u);
+        EXPECT_EQ(reg.counter("serve.memcache.miss"), 1u);
+        EXPECT_EQ(reg.counter("serve.memcache.hit"), uint64_t(n - 1));
         EXPECT_EQ(reg.counter("serve.reference.computed"), 1u);
+    }
+    server.requestStop();
+    server.wait();
+    reg.setEnabled(false);
+}
+
+TEST(ServeServer, RepeatsOfATupleNeverProbeTheDisk)
+{
+    auto &reg = telemetry::Registry::global();
+    reg.clear();
+    reg.setEnabled(true);
+
+    fs::path dir = fs::temp_directory_path() /
+                   ("sara-test-memodisk-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    auto opt = testOptions("memodisk", 1, 16);
+    opt.useDiskCache = true;
+    opt.cacheDir = dir.string();
+    serve::Server server(std::move(opt));
+    server.start();
+    ASSERT_TRUE(serve::waitForServer(server.socketPath(), 5000));
+    {
+        serve::Client client(server.socketPath());
+        json::Value first = client.call(compileReq("c0", "ms", 4));
+        ASSERT_EQ(first.at("status").str, "ok") << first.at("error").str;
+        EXPECT_FALSE(first.at("from_cache").boolean);
+        EXPECT_EQ(reg.counter("artifact.cache.store"), 1u);
+
+        // Every later verb on the tuple is served from its entry: no
+        // disk probe, no store and no compile to join.
+        auto diskCounters = [&] {
+            std::map<std::string, uint64_t> out;
+            for (const auto &[name, v] : reg.counterSnapshot())
+                if (name.rfind("artifact.cache.", 0) == 0)
+                    out[name] = v;
+            return out;
+        };
+        auto disk = diskCounters();
+        uint64_t joins = reg.counter("jobs.compile.deduped");
+        serve::Request run = runReq("r0", "ms", 4);
+        serve::Request check = runReq("k0", "ms", 4);
+        check.check = true;
+        for (const serve::Request &req :
+             {compileReq("c1", "ms", 4), run, check}) {
+            json::Value v = client.call(req);
+            ASSERT_EQ(v.at("status").str, "ok") << v.at("error").str;
+            EXPECT_TRUE(v.at("from_cache").boolean) << req.id;
+            EXPECT_FALSE(v.at("deduped").boolean) << req.id;
+            EXPECT_EQ(v.at("key").str, first.at("key").str) << req.id;
+        }
+        EXPECT_EQ(diskCounters(), disk);
+        EXPECT_EQ(reg.counter("jobs.compile.deduped"), joins);
+        EXPECT_EQ(reg.counter("serve.memcache.hit"), 3u);
+    }
+    server.requestStop();
+    server.wait();
+    fs::remove_all(dir);
+    reg.setEnabled(false);
+}
+
+TEST(ServeServer, MemoOfZeroEntriesCompilesEveryRequest)
+{
+    auto &reg = telemetry::Registry::global();
+    reg.clear();
+    reg.setEnabled(true);
+
+    auto opt = testOptions("memo0", 1, 16);
+    opt.memCacheEntries = 0;
+    serve::Server server(std::move(opt));
+    server.start();
+    ASSERT_TRUE(serve::waitForServer(server.socketPath(), 5000));
+    {
+        serve::Client client(server.socketPath());
+        const int n = 3;
+        std::string key;
+        for (int i = 0; i < n; ++i) {
+            serve::Request check = runReq("k" + std::to_string(i), "ms", 4);
+            check.check = true;
+            for (const serve::Request &req :
+                 {compileReq("c" + std::to_string(i), "ms", 4), check}) {
+                json::Value v = client.call(req);
+                ASSERT_EQ(v.at("status").str, "ok") << v.at("error").str;
+                EXPECT_FALSE(v.at("from_cache").boolean) << req.id;
+                EXPECT_FALSE(v.at("deduped").boolean) << req.id;
+                if (key.empty())
+                    key = v.at("key").str;
+                EXPECT_EQ(v.at("key").str, key) << req.id;
+            }
+        }
+        EXPECT_EQ(reg.counter("serve.memcache.miss"), uint64_t(2 * n));
+        EXPECT_EQ(reg.counter("serve.memcache.hit"), 0u);
+        EXPECT_EQ(reg.counter("serve.workload.built"), uint64_t(2 * n));
+        EXPECT_EQ(reg.counter("serve.reference.computed"), uint64_t(n));
     }
     server.requestStop();
     server.wait();

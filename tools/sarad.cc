@@ -19,17 +19,16 @@
  *   --cache-dir DIR     on-disk artifact cache (also honours
  *                       $SARA_CACHE_DIR via --cache)
  *   --cache             on-disk cache at the default location
- *   --mem-entries N     compile results, and request tuples with
- *                       their workload, key and check reference, kept
- *                       in memory; least recently used evicted first
- *                       (default 64 each)
- *   --tenant-weight T=W fair-share weight for tenant T (repeatable;
- *                       unlisted tenants weigh 1)
+ *   --mem-entries N     request tuples kept in memory, each with its
+ *                       compile result, workload and check reference;
+ *                       least recently used evicted first (default 64)
+ *   --tenant-weight T=W fair-share weight for tenant T, 0.001-1000
+ *                       (repeatable; unlisted tenants weigh 1)
  *   --retries N         TransientError retries per request, 0-100
  *                       (default 1)
  *   --max-cycles N      per-request simulator cycle budget default
  *
- * Crash-only serving:
+ * Crash-only serving (every MS is 0-86400000, one day):
  *   --max-conns N           concurrent connection bound (default 256);
  *                           overflow gets a structured `overloaded`
  *                           response and is closed
@@ -88,6 +87,14 @@ using namespace sara;
 
 namespace {
 
+/** Every millisecond flag lies within a day: finite, and small enough
+ *  that the watchdog's tick (a deadline / 8) fits an int. */
+constexpr double kMaxMs = 86400000.0;
+
+/** Tenant weights: a stride of 1/weight stays finite and moves the
+ *  tenant's pass, so no tenant starves the rest. */
+constexpr double kMinWeight = 0.001, kMaxWeight = 1000.0;
+
 volatile std::sig_atomic_t gStop = 0;
 
 void
@@ -114,6 +121,7 @@ realMain(int argc, char **argv)
                  "             [--breaker-threshold N] "
                  "[--breaker-cooldown-ms MS]\n"
                  "             [--inject SPEC ...] [--inject-seed N]\n"
+                 "             (W 0.001-1000, MS 0-86400000)\n"
                  "       sarad --help",
                  "sarad");
     serve::ServerOptions opt;
@@ -142,7 +150,8 @@ realMain(int argc, char **argv)
                 args.fail("--tenant-weight expects TENANT=WEIGHT, got " +
                           spec);
             opt.tenantWeights[spec.substr(0, eq)] =
-                args.toNumber<double>(spec.substr(eq + 1));
+                args.inRange(args.toNumber<double>(spec.substr(eq + 1)),
+                             kMinWeight, kMaxWeight);
         } else if (args.is("--retries")) {
             opt.maxAttempts =
                 1 + args.number(jobs::BatchOptions::kMinRetries,
@@ -152,15 +161,15 @@ realMain(int argc, char **argv)
         } else if (args.is("--max-conns")) {
             opt.maxConnections = args.number<size_t>();
         } else if (args.is("--read-deadline-ms")) {
-            opt.readDeadlineMs = args.number<double>();
+            opt.readDeadlineMs = args.number(0.0, kMaxMs);
         } else if (args.is("--idle-timeout-ms")) {
-            opt.idleTimeoutMs = args.number<double>();
+            opt.idleTimeoutMs = args.number(0.0, kMaxMs);
         } else if (args.is("--request-deadline-ms")) {
-            opt.requestDeadlineMs = args.number<double>();
+            opt.requestDeadlineMs = args.number(0.0, kMaxMs);
         } else if (args.is("--breaker-threshold")) {
             opt.breakerThreshold = args.number<int>();
         } else if (args.is("--breaker-cooldown-ms")) {
-            opt.breakerCooldownMs = args.number<double>();
+            opt.breakerCooldownMs = args.number(0.0, kMaxMs);
         } else if (args.is("--inject")) {
             faultPlan.push_back(fault::parseFaultSpec(args.value()));
         } else if (args.is("--inject-seed")) {
