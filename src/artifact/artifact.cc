@@ -484,8 +484,10 @@ encodeOptions(Encoder &e, const compiler::CompilerOptions &opt)
     e.boolean(opt.enableControlReduction);
     e.boolean(opt.enableDuplication);
     e.i32(opt.multibufferDepth);
-    e.boolean(opt.ignoreResourceLimits);
-    e.boolean(opt.strictFit);
+    // Two retired resource-handling flags, always false: keeping their
+    // bytes keeps every content key (and the cache entries under it).
+    e.boolean(false);
+    e.boolean(false);
     e.u64(opt.solverIterations);
     e.u64(opt.solverSeed);
     e.u64(opt.pnrSeed);

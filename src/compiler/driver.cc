@@ -77,13 +77,10 @@ compile(const ir::Program &input, const CompilerOptions &options)
     // 3. Compute partitioning: split oversized VCUs (Table I/III).
     {
         telemetry::ScopedSpan span(rec, "partition");
-        if (!options.ignoreResourceLimits) {
-            PartitionReport pr =
-                partitionCompute(result.lowering.graph, options);
-            result.partitionsCreated = pr.partitionsCreated;
-            span.stat("units-partitioned", pr.unitsPartitioned);
-            span.stat("partitions-created", pr.partitionsCreated);
-        }
+        PartitionReport pr = partitionCompute(result.lowering.graph, options);
+        result.partitionsCreated = pr.partitionsCreated;
+        span.stat("units-partitioned", pr.unitsPartitioned);
+        span.stat("partitions-created", pr.partitionsCreated);
     }
 
     // 4. Global merging: pack small VUs into physical units.
@@ -134,12 +131,8 @@ compile(const ir::Program &input, const CompilerOptions &options)
     res.ags = mr.agGroups;
     res.fits = res.pcus <= res.pcusAvail && res.pmus <= res.pmusAvail &&
                res.ags <= res.agsAvail;
-    if (!res.fits) {
-        if (options.strictFit && !options.ignoreResourceLimits)
-            fatal("design does not fit: ", res.str());
-        else
-            warn("design does not fit: ", res.str());
-    }
+    if (!res.fits)
+        warn("design does not fit: ", res.str());
 
     all.end();
     result.phases = rec.spans();

@@ -68,12 +68,6 @@ struct CompilerOptions
 
     int multibufferDepth = 4;
 
-    // --- Resource handling ---
-    /** Skip partitioning/merging/fit checks (semantics testing only). */
-    bool ignoreResourceLimits = false;
-    /** Abort instead of warning when the design does not fit. */
-    bool strictFit = false;
-
     // --- Solver ---
     uint64_t solverIterations = 200000; ///< LNS iteration budget.
     uint64_t solverSeed = 1;

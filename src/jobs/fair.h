@@ -10,9 +10,14 @@
  *
  * Semantics:
  *  - Admission control: the queue holds at most `maxDepth` items
- *    across all tenants. tryPush() never blocks; it returns false when
- *    the queue is saturated and the caller turns that into a
- *    structured reject-with-retry-after response.
+ *    across all tenants, and each tenant at most its weighted share of
+ *    them: ceil(maxDepth * w / W), where W sums the weights of the
+ *    tenants with queued items and the pushing tenant's own, so a lone
+ *    tenant may fill the whole queue. Past saturation the share, not
+ *    which tenant's send finds the free slot, decides the split.
+ *    tryPush() never blocks; it returns false when the queue is
+ *    saturated or the tenant holds its share, and the caller turns
+ *    that into a structured reject-with-retry-after response.
  *  - Weighted fairness: each tenant owns a FIFO sub-queue and a
  *    stride-scheduling pass value. pop() always serves the non-empty
  *    tenant with the smallest pass, then advances that tenant's pass
@@ -34,6 +39,7 @@
  * linear walk rather than a heap.
  */
 
+#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <map>
@@ -57,12 +63,13 @@ class FairQueue
         std::lock_guard<std::mutex> lock(mu_);
         if (weight > 0.0) {
             Tenant &t = tenants_[tenant];
-            t.stride = 1.0 / weight;
+            t.weight = weight;
             t.pinned = true; // Survives idle GC.
         }
     }
 
-    /** Enqueue under `tenant`; false when the queue is saturated. */
+    /** Enqueue under `tenant`; false when the queue is saturated or
+     *  the tenant already holds its share of it. */
     bool
     tryPush(const std::string &tenant, T item)
     {
@@ -71,6 +78,14 @@ class FairQueue
             if (stopped_ || depth_ >= maxDepth_)
                 return false;
             Tenant &t = tenants_[tenant];
+            double weights = t.weight;
+            for (const auto &kv : tenants_)
+                if (&kv.second != &t && !kv.second.items.empty())
+                    weights += kv.second.weight;
+            if (static_cast<double>(t.items.size()) >=
+                std::ceil(static_cast<double>(maxDepth_) * t.weight /
+                          weights))
+                return false;
             // Re-joining tenants start at the current virtual time:
             // idle periods earn no scheduling credit.
             if (t.items.empty() && t.pass < virtual_)
@@ -102,7 +117,7 @@ class FairQueue
         T item = std::move(best->items.front());
         best->items.pop_front();
         virtual_ = best->pass;
-        best->pass += best->stride;
+        best->pass += 1.0 / best->weight;
         --depth_;
         // Tenant-churn GC: drop drained default-weight tenants. Their
         // pass state is re-derivable (a re-joining tenant starts at
@@ -168,7 +183,7 @@ class FairQueue
     {
         std::deque<T> items;
         double pass = 0.0;
-        double stride = 1.0;
+        double weight = 1.0;
         /** Explicitly configured (setWeight): exempt from churn GC. */
         bool pinned = false;
     };

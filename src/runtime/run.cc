@@ -8,8 +8,74 @@
 #include "ir/interp.h"
 #include "support/json.h"
 #include "support/logging.h"
+#include "support/table.h"
 
 namespace sara::runtime {
+
+namespace {
+
+/** The counter kind of an engine unit: "pcu", "pmu" or "ag". */
+const char *
+engineKind(const dfg::VUnit &u)
+{
+    return u.kind == dfg::VuKind::Compute   ? "pcu"
+           : u.kind == dfg::VuKind::MemPort ? "pmu"
+                                            : "ag";
+}
+
+/** Cycles from an engine's last round to the end of the run. */
+uint64_t
+idleCycles(const sim::UnitStats &s, uint64_t cycles)
+{
+    return cycles > s.doneAt ? cycles - s.doneAt : 0;
+}
+
+/** Each unit's FIFO-occupancy peak: the highest high water over the
+ *  streams it produces or consumes. */
+std::vector<uint64_t>
+occupancyPeaks(const dfg::Vudfg &g, const sim::SimResult &s)
+{
+    std::vector<uint64_t> peak(g.numUnits(), 0);
+    for (size_t i = 0; i < s.fifoStats.size(); ++i) {
+        const dfg::Stream &st = g.stream(dfg::StreamId(i));
+        for (dfg::VuId u : {st.src, st.dst})
+            if (u.valid())
+                peak[u.index()] =
+                    std::max(peak[u.index()], s.fifoStats[i].highWater);
+    }
+    return peak;
+}
+
+/** One NoC router cell: the telemetry of its outgoing links, summed. */
+struct RouterCell
+{
+    int x = 0, y = 0;
+    uint64_t links = 0, streams = 0, traversals = 0, waitCycles = 0;
+    uint64_t queuePeak = 0;
+};
+
+/** The router cells of a NoC run in (x, y) order (none on fixed-latency
+ *  runs, which have no linkUse). linkUse is sorted by (x, y, dir), so
+ *  a cell's links are adjacent. */
+std::vector<RouterCell>
+routerCells(const noc::NocStats &n)
+{
+    std::vector<RouterCell> cells;
+    for (const auto &lu : n.linkUse) {
+        if (cells.empty() || cells.back().x != lu.link.x ||
+            cells.back().y != lu.link.y)
+            cells.push_back({lu.link.x, lu.link.y});
+        RouterCell &c = cells.back();
+        ++c.links;
+        c.streams += static_cast<uint64_t>(lu.streams);
+        c.traversals += lu.traversals;
+        c.waitCycles += lu.waitCycles;
+        c.queuePeak = std::max(c.queuePeak, lu.queueHighWater);
+    }
+    return cells;
+}
+
+} // namespace
 
 RunOutcome
 runWorkload(const workloads::Workload &w, const RunConfig &config)
@@ -265,22 +331,63 @@ jsonReport(const workloads::Workload &w, const RunConfig &config,
     // FIFO pressure: report streams that ever came close to their
     // credit window (the interesting, backpressure-prone ones).
     j.key("fifo_pressure").beginArray();
-    for (const auto &fs : r.sim.fifoStats) {
+    for (size_t i = 0; i < r.sim.fifoStats.size(); ++i) {
+        const auto &fs = r.sim.fifoStats[i];
         if (fs.capacity == UINT64_MAX ||
             fs.highWater * 2 < fs.capacity)
             continue;
         j.beginObject();
-        j.kv("name", fs.name);
+        j.kv("name", g.stream(dfg::StreamId(i)).name);
         j.kv("high_water", fs.highWater);
         j.kv("capacity", fs.capacity);
         j.kv("pushes", fs.pushes);
         j.endObject();
     }
     j.endArray();
-    // Full per-unit performance-counter file (engines + router cells);
-    // same data `sarac --counters` renders as a table + heatmap.
-    j.key("counters");
-    r.sim.counters.writeJson(j);
+    // Per-unit performance counters: one block per engine by unit id,
+    // then one per NoC router cell; `sarac --counters` renders the same
+    // records as a table and a heatmap.
+    const std::vector<uint64_t> occ = occupancyPeaks(g, r.sim);
+    j.key("counters").beginArray();
+    for (const auto &u : g.units()) {
+        if (u.kind == dfg::VuKind::Memory)
+            continue; // VMU storage has no engine.
+        const auto &s = r.sim.unitStats[u.id.index()];
+        j.beginObject();
+        j.kv("id", u.name);
+        j.kv("kind", engineKind(u));
+        j.kv("x", u.placeX).kv("y", u.placeY);
+        j.key("counters").beginObject();
+        j.kv("firings", s.firings);
+        j.kv("skips", s.skips);
+        j.kv("busy", s.busyCycles);
+        for (int c = 0; c < sim::kNumStallCauses; ++c)
+            j.kv(std::string("stall.") +
+                     sim::stallCauseName(static_cast<sim::StallCause>(c)),
+                 s.stallCycles[c]);
+        j.kv("idle", idleCycles(s, r.sim.cycles));
+        j.kv("bytes", s.bytesMoved);
+        j.kv("occ_peak", occ[u.id.index()]);
+        j.endObject();
+        j.endObject();
+    }
+    for (const RouterCell &c : routerCells(r.sim.noc)) {
+        char id[32];
+        std::snprintf(id, sizeof id, "router(%d,%d)", c.x, c.y);
+        j.beginObject();
+        j.kv("id", id);
+        j.kv("kind", "router");
+        j.kv("x", c.x).kv("y", c.y);
+        j.key("counters").beginObject();
+        j.kv("links", c.links);
+        j.kv("streams", c.streams);
+        j.kv("traversals", c.traversals);
+        j.kv("wait_cycles", c.waitCycles);
+        j.kv("queue_peak", c.queuePeak);
+        j.endObject();
+        j.endObject();
+    }
+    j.endArray();
     j.endObject(); // sim
 
     j.key("check").beginObject();
@@ -290,6 +397,90 @@ jsonReport(const workloads::Workload &w, const RunConfig &config,
 
     j.endObject();
     return j.str();
+}
+
+std::string
+counterReport(const RunConfig &config, const RunOutcome &r)
+{
+    const auto &g = r.compiled->lowering.graph;
+    const uint64_t cycles = r.sim.cycles;
+    const int rows = config.compiler.spec.rows;
+    const int cols = config.compiler.spec.cols;
+    const std::vector<uint64_t> occ = occupancyPeaks(g, r.sim);
+
+    // Engine rows; the heatmap keeps each grid cell's busiest engine
+    // (a PMU's ports sit on its storage's cell), -1 where none is.
+    Table t({"unit", "kind", "place", "firings", "skips", "busy",
+             "stall", "idle", "bytes", "occ-peak"});
+    std::vector<double> util(static_cast<size_t>(rows * cols), -1.0);
+    int fringe = 0;
+    for (const auto &u : g.units()) {
+        if (u.kind == dfg::VuKind::Memory)
+            continue;
+        const auto &s = r.sim.unitStats[u.id.index()];
+        char place[32];
+        std::snprintf(place, sizeof place, "(%d,%d)", u.placeX, u.placeY);
+        t.addRow({u.name, engineKind(u), place,
+                  std::to_string(s.firings), std::to_string(s.skips),
+                  std::to_string(s.busyCycles),
+                  std::to_string(s.stallTotal()),
+                  std::to_string(idleCycles(s, cycles)),
+                  std::to_string(s.bytesMoved),
+                  std::to_string(occ[u.id.index()])});
+        if (u.placeX < 0 || u.placeX >= cols || u.placeY < 0 ||
+            u.placeY >= rows) {
+            ++fringe;
+            continue;
+        }
+        double busy = cycles ? static_cast<double>(s.busyCycles) /
+                                   static_cast<double>(cycles)
+                             : 0.0;
+        double &cell = util[static_cast<size_t>(u.placeY * cols + u.placeX)];
+        cell = std::max(cell, busy);
+    }
+    std::string out = "-- per-unit performance counters --\n" + t.str();
+
+    std::vector<RouterCell> cells = routerCells(r.sim.noc);
+    if (!cells.empty()) {
+        uint64_t traversals = 0, waitCycles = 0;
+        for (const RouterCell &c : cells) {
+            traversals += c.traversals;
+            waitCycles += c.waitCycles;
+        }
+        out += "routers: " + std::to_string(cells.size()) +
+               " active cells, " + std::to_string(traversals) +
+               " traversals, " + std::to_string(waitCycles) +
+               " flit-wait cycles (per-link detail: --noc-stats)\n";
+    }
+
+    // Text heatmap on a 10-step ramp; a placed engine is never blank.
+    static const char kRamp[] = " .:-=+*#%@";
+    out += "fabric utilization (busy cycles / " + std::to_string(cycles) +
+           " total, " + std::to_string(cols) + "x" +
+           std::to_string(rows) + "):\n";
+    std::string border = "    +" + std::string(cols, '-') + "+\n";
+    out += border;
+    for (int y = rows - 1; y >= 0; --y) {
+        char label[16];
+        std::snprintf(label, sizeof label, "%3d |", y);
+        out += label;
+        for (int x = 0; x < cols; ++x) {
+            double u = util[static_cast<size_t>(y * cols + x)];
+            out += u < 0.0 ? ' '
+                           : kRamp[std::clamp(static_cast<int>(u * 10.0),
+                                              1, 9)];
+        }
+        out += "|\n";
+    }
+    out += border;
+    out += "    x: 0.." + std::to_string(cols - 1) +
+           " left to right; ramp ' '=unused .<20% :<30% -<40% =<50% "
+           "+<60% *<70% #<80% %<90% @>=90%\n";
+    if (fringe > 0)
+        out += "    (" + std::to_string(fringe) +
+               " fringe AG engines at x=-1/x=" + std::to_string(cols) +
+               " listed in the table only)\n";
+    return out;
 }
 
 void

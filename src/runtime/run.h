@@ -7,6 +7,10 @@
  * the examples: runs a workload through the full SARA pipeline and the
  * cycle-level simulator, optionally validating against the sequential
  * interpreter, and summarizes the metrics the paper's tables report.
+ * It also renders a run's reports: the `--json` run report and the
+ * `--counters` per-unit table, both read straight from the compiled
+ * graph's units (by id) and the simulator's own per-unit, per-stream
+ * and per-link statistics.
  */
 
 #include <memory>
@@ -97,12 +101,23 @@ std::string summarize(const workloads::Workload &w, const RunOutcome &r);
 /**
  * Machine-readable run report (schema "sara-run-report/v1"): compile
  * phase spans and pass stats, resource usage, per-cause stall totals,
- * per-unit activity, FIFO pressure, and DRAM statistics. This is the
+ * per-unit activity, FIFO pressure, DRAM statistics, and the per-unit
+ * performance counters (`sim.counters`: one block per engine, then one
+ * per NoC router cell). This is the
  * payload behind `sarac --json` and the bench harness BENCH_*.json
  * trajectory files.
  */
 std::string jsonReport(const workloads::Workload &w,
                        const RunConfig &config, const RunOutcome &r);
+
+/**
+ * The `sarac --counters` payload: one row per engine (firings, skips,
+ * busy, stall and idle cycles, bytes moved, FIFO-occupancy peak), a
+ * router summary line on NoC runs, and a text heatmap of fabric
+ * utilization on `config`'s core grid. Deterministic: the rendering
+ * is golden-checked in tests.
+ */
+std::string counterReport(const RunConfig &config, const RunOutcome &r);
 
 /** Write jsonReport() to `path`; fatal()s when the file can't open. */
 void writeJsonReport(const std::string &path,

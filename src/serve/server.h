@@ -11,7 +11,8 @@
  *     responses matched to requests by client-chosen id (a pipelined
  *     connection may see them out of order).
  *   - admission control: a bounded jobs::FairQueue. When the backlog
- *     hits the configured depth, requests are rejected immediately
+ *     hits the configured depth, or a tenant's queued requests hit its
+ *     weighted share of that depth, requests are rejected immediately
  *     with a structured `rejected` response carrying a retry_after_ms
  *     hint derived from the observed service rate — the daemon never
  *     queues unboundedly and never hangs a client.

@@ -1331,15 +1331,9 @@ Simulator::assembleResult(uint64_t end)
             static_cast<double>(busySum) /
             (static_cast<double>(computeUnits) * end);
     result.fifoStats.reserve(fifos_.size());
-    for (const auto &f : fifos_) {
-        FifoStats fs;
-        fs.name = f.spec().name;
-        fs.pushes = f.pushes();
-        fs.pops = f.pops();
-        fs.highWater = f.highWater();
-        fs.capacity = f.capacity();
-        result.fifoStats.push_back(std::move(fs));
-    }
+    for (const auto &f : fifos_)
+        result.fifoStats.push_back(
+            {f.pushes(), f.highWater(), f.capacity()});
     result.hostEvents = sched_.eventsExecuted();
     result.wakeups = wakeups_;
     result.spuriousWakeups = spuriousWakeups_;
@@ -1347,7 +1341,6 @@ Simulator::assembleResult(uint64_t end)
     result.spuriousByClass = spuriousByClass_;
     if (noc_)
         result.noc = noc_->stats();
-    buildCounters(result);
     if (!opt_.traceFile.empty())
         writeTrace();
     result.dramBytes = dram_.bytesTransferred();
@@ -1420,71 +1413,6 @@ Simulator::noteWake(Engine &e, WakeClass cls, bool spurious)
     }
     flight_.record(telemetry::FlightKind::Wake, sched_.now(), e.u->id.v,
                    spurious ? 1 : 0);
-}
-
-void
-Simulator::buildCounters(SimResult &result) const
-{
-    telemetry::CounterFile &cf = result.counters;
-
-    for (const auto &e : engines_) {
-        if (!e)
-            continue;
-        const auto &u = *e->u;
-        telemetry::CounterBlock &b = cf.block(u.name);
-        b.kind = u.kind == VuKind::Compute   ? "pcu"
-                 : u.kind == VuKind::MemPort ? "pmu"
-                                             : "ag";
-        b.x = u.placeX;
-        b.y = u.placeY;
-        b.set("firings", e->stats.firings);
-        b.set("skips", e->stats.skips);
-        b.set("busy", e->stats.busyCycles);
-        for (int c = 0; c < kNumStallCauses; ++c)
-            b.set(std::string("stall.") +
-                      stallCauseName(static_cast<StallCause>(c)),
-                  e->stats.stallCycles[c]);
-        b.set("idle", result.cycles > e->stats.doneAt
-                          ? result.cycles - e->stats.doneAt
-                          : 0);
-        b.set("bytes", e->stats.bytesMoved);
-        b.set("occ_peak", 0);
-    }
-
-    // FIFO-occupancy high-water per unit: the max over every stream
-    // incident to the unit (storage VMUs have no engine and no block).
-    for (const auto &f : fifos_) {
-        const auto &s = f.spec();
-        for (dfg::VuId vid : {s.src, s.dst}) {
-            if (!vid.valid())
-                continue;
-            telemetry::CounterBlock *b =
-                cf.findMutable(g_.unit(vid).name);
-            if (b && f.highWater() > b->get("occ_peak"))
-                b->set("occ_peak", f.highWater());
-        }
-    }
-
-    // Router cells: aggregate the per-link NoC telemetry per (x, y).
-    // linkUse is sorted by (x, y, dir), so blocks come out in
-    // deterministic cell order.
-    if (result.noc.enabled) {
-        for (const auto &lu : result.noc.linkUse) {
-            char id[32];
-            std::snprintf(id, sizeof id, "router(%d,%d)", lu.link.x,
-                          lu.link.y);
-            telemetry::CounterBlock &b = cf.block(id);
-            b.kind = "router";
-            b.x = lu.link.x;
-            b.y = lu.link.y;
-            b.add("links", 1);
-            b.add("streams", static_cast<uint64_t>(lu.streams));
-            b.add("traversals", lu.traversals);
-            b.add("wait_cycles", lu.waitCycles);
-            if (lu.queueHighWater > b.get("queue_peak"))
-                b.set("queue_peak", lu.queueHighWater);
-        }
-    }
 }
 
 void

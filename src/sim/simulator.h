@@ -46,7 +46,6 @@
 #include "noc/noc.h"
 #include "sim/fifo.h"
 #include "sim/task.h"
-#include "support/counters.h"
 #include "support/flight.h"
 #include "support/telemetry.h"
 
@@ -79,9 +78,10 @@ struct SimOptions
      *  injector are cycle-identical to builds without the subsystem.
      *  Not owned; must outlive the simulator. */
     const fault::FaultInjector *fault = nullptr;
-    /** Core-grid dimensions for the per-unit counter file and the
-     *  `--counters` heatmap (filled from arch::PlasticineSpec by the
-     *  runtime layer; fringe AGs sit at x = -1 / x = fabricCols). */
+    /** Core-grid dimensions for the trace's per-region firing tracks
+     *  (filled from arch::PlasticineSpec by the runtime layer; fringe
+     *  AGs sit at x = -1 / x = fabricCols and clamp into the border
+     *  regions). */
     int fabricRows = 20;
     int fabricCols = 20;
     /** External cancellation flag, polled once per simulated cycle.
@@ -155,9 +155,7 @@ struct UnitStats
 /** Per-stream FIFO pressure statistics. */
 struct FifoStats
 {
-    std::string name;
     uint64_t pushes = 0;
-    uint64_t pops = 0;
     uint64_t highWater = 0; ///< Max occupancy incl. in-flight elements.
     uint64_t capacity = 0;  ///< depth + latency credit window.
 };
@@ -197,10 +195,6 @@ struct SimResult
      *  sums over the classes equal the aggregates above. */
     std::array<uint64_t, kNumWakeClasses> wakeupsByClass{};
     std::array<uint64_t, kNumWakeClasses> spuriousByClass{};
-    /** Per-unit performance-counter dump (engines + router cells).
-     *  Per-cause stall sums over all blocks reconcile exactly with
-     *  `stallTotals` (asserted in tests/test_counters.cc). */
-    telemetry::CounterFile counters;
 };
 
 /** Executes one compiled VUDFG against a DRAM model. */
@@ -291,9 +285,6 @@ class Simulator
     /** Per-wakeup bookkeeping: aggregate + per-class tallies and a
      *  flight-recorder Wake event. */
     void noteWake(Engine &e, WakeClass cls, bool spurious);
-    /** Assemble the per-unit CounterFile (engine blocks from
-     *  UnitStats, router blocks from the NoC link stats). */
-    void buildCounters(SimResult &result) const;
     /** Format the flight-recorder ring into `fr.timeline`. */
     void buildTimeline(fault::FailureReport &fr) const;
     void recordFiring(const Engine &e, uint64_t start, uint64_t dur,

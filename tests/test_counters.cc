@@ -1,11 +1,11 @@
 /**
  * @file
- * Per-unit performance-counter tests: CounterFile semantics and JSON
- * emission, the reconciliation invariant (counter sums over unit
- * blocks equal the global stall/wakeup accounting exactly, across the
- * full workload suite on both timing models), the golden-checked
- * `--counters` rendering, the flight-recorder ring, the failure-report
- * timeline it feeds, and a host-profiler smoke test.
+ * Per-unit performance-counter tests: the reconciliation invariant
+ * (the run report's counter blocks sum to the global stall, firing,
+ * wakeup and NoC accounting exactly, for every workload on both timing
+ * models at par 8 and 32), the golden-checked `--counters` rendering,
+ * the flight-recorder ring, the failure-report timeline it feeds, and
+ * a host-profiler smoke test.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 
 #include "fault/fault.h"
 #include "runtime/run.h"
-#include "support/counters.h"
 #include "support/flight.h"
 #include "support/hostprof.h"
 #include "support/json.h"
@@ -29,215 +28,185 @@ namespace {
 using namespace telemetry;
 
 // ---------------------------------------------------------------------------
-// CounterFile.
+// Reconciliation: the run report's per-unit counters re-key the global
+// accounting exactly, one block per engine, including the outer-unrolled
+// clones that share a name above par 16.
 // ---------------------------------------------------------------------------
 
-TEST(CounterFile, SetAddGetAndInsertionOrder)
+uint64_t
+num(const json::Value &v, const std::string &key)
 {
-    CounterFile cf;
-    EXPECT_TRUE(cf.empty());
-    CounterBlock &b = cf.block("pcu_0");
-    b.kind = "pcu";
-    b.set("firings", 10);
-    b.add("firings", 5);
-    b.set("busy", 100);
-    b.set("busy", 90); // Overwrite, not append.
-    b.add("bytes", 64);
-    EXPECT_EQ(b.get("firings"), 15u);
-    EXPECT_EQ(b.get("busy"), 90u);
-    EXPECT_EQ(b.get("bytes"), 64u);
-    EXPECT_EQ(b.get("missing"), 0u);
-    ASSERT_EQ(b.counters.size(), 3u);
-    EXPECT_EQ(b.counters[0].first, "firings");
-    EXPECT_EQ(b.counters[1].first, "busy");
-    EXPECT_EQ(b.counters[2].first, "bytes");
-
-    // block() is find-or-create; blocks keep insertion order.
-    cf.block("ag_in").kind = "ag";
-    EXPECT_EQ(&cf.block("pcu_0"), &cf.blocks()[0]);
-    ASSERT_EQ(cf.size(), 2u);
-    EXPECT_EQ(cf.blocks()[0].id, "pcu_0");
-    EXPECT_EQ(cf.blocks()[1].id, "ag_in");
-    EXPECT_NE(cf.find("ag_in"), nullptr);
-    EXPECT_EQ(cf.find("nope"), nullptr);
-    EXPECT_EQ(cf.findMutable("nope"), nullptr);
+    return static_cast<uint64_t>(v.at(key).num);
 }
-
-TEST(CounterFile, TotalsOverallAndPerKind)
-{
-    CounterFile cf;
-    cf.block("a").kind = "pcu";
-    cf.block("a").set("busy", 10);
-    cf.block("b").kind = "ag";
-    cf.block("b").set("busy", 7);
-    cf.block("r").kind = "router";
-    cf.block("r").set("busy", 100);
-    EXPECT_EQ(cf.total("busy"), 117u);
-    EXPECT_EQ(cf.total("busy", "pcu"), 10u);
-    EXPECT_EQ(cf.total("busy", "ag"), 7u);
-    EXPECT_EQ(cf.total("busy", "pmu"), 0u);
-    EXPECT_EQ(cf.total("missing"), 0u);
-}
-
-TEST(CounterFile, WriteJsonParsesBack)
-{
-    CounterFile cf;
-    CounterBlock &b = cf.block("pcu_3");
-    b.kind = "pcu";
-    b.x = 2;
-    b.y = 5;
-    b.set("firings", 42);
-    b.set("stall.credit", 9);
-
-    json::Writer w;
-    cf.writeJson(w);
-    json::Value v = json::parse(w.str());
-    ASSERT_TRUE(v.isArray());
-    ASSERT_EQ(v.arr.size(), 1u);
-    const json::Value &blk = v.arr[0];
-    EXPECT_EQ(blk.at("id").str, "pcu_3");
-    EXPECT_EQ(blk.at("kind").str, "pcu");
-    EXPECT_EQ(blk.at("x").num, 2.0);
-    EXPECT_EQ(blk.at("y").num, 5.0);
-    EXPECT_EQ(blk.at("counters").at("firings").num, 42.0);
-    EXPECT_EQ(blk.at("counters").at("stall.credit").num, 9.0);
-}
-
-// ---------------------------------------------------------------------------
-// Reconciliation: the counter file is a lossless re-keying of the
-// global accounting — never a second bookkeeping that can drift.
-// ---------------------------------------------------------------------------
 
 void
-expectReconciled(const std::string &name, bool useNoc)
+expectReconciled(const std::string &name, int par, bool useNoc)
 {
     workloads::WorkloadConfig cfg;
-    cfg.par = 8;
+    cfg.par = par;
     auto w = workloads::buildByName(name, cfg);
     runtime::RunConfig rc;
     rc.sim.useNoc = useNoc;
     auto r = runtime::runWorkload(w, rc);
-    const CounterFile &cf = r.sim.counters;
-    std::string label = name + (useNoc ? "/noc" : "/fixed");
-    ASSERT_FALSE(cf.empty()) << label;
+    json::Value report = json::parse(runtime::jsonReport(w, rc, r));
+    const json::Value &sim = report.at("sim");
+    std::string label = name + " par " + std::to_string(par) +
+                        (useNoc ? "/noc" : "/fixed");
 
-    // Per-cause stall sums over all unit blocks == global stallTotals.
-    for (int c = 0; c < sim::kNumStallCauses; ++c) {
-        std::string counter =
-            std::string("stall.") +
-            sim::stallCauseName(static_cast<sim::StallCause>(c));
-        EXPECT_EQ(cf.total(counter), r.sim.stallTotals[c])
-            << label << ": " << counter;
+    std::vector<const json::Value *> engines, routers;
+    for (const json::Value &b : sim.at("counters").arr)
+        (b.at("kind").str == "router" ? routers : engines).push_back(&b);
+    size_t engineUnits = 0;
+    for (const auto &u : r.compiled->lowering.graph.units())
+        engineUnits += u.kind != dfg::VuKind::Memory;
+    ASSERT_EQ(engines.size(), engineUnits) << label;
+
+    // Per-cause stall sums over the engine blocks == sim.stalls, and
+    // firings sum to total_firings.
+    for (const auto &[cause, total] : sim.at("stalls").obj) {
+        uint64_t sum = 0;
+        for (const json::Value *b : engines)
+            sum += num(b->at("counters"), "stall." + cause);
+        EXPECT_EQ(sum, static_cast<uint64_t>(total.num))
+            << label << ": stall." << cause;
     }
-
-    // Busy / firing totals match the per-unit stats and aggregates.
-    uint64_t busy = 0;
-    for (const auto &s : r.sim.unitStats)
-        busy += s.busyCycles;
-    EXPECT_EQ(cf.total("busy"), busy) << label;
-    EXPECT_EQ(cf.total("firings"), r.sim.totalFirings) << label;
+    uint64_t firings = 0, busy = 0, unitBusy = 0;
+    for (const json::Value *b : engines) {
+        firings += num(b->at("counters"), "firings");
+        busy += num(b->at("counters"), "busy");
+    }
+    for (const json::Value &u : sim.at("units").arr)
+        unitBusy += num(u, "busy");
+    EXPECT_EQ(firings, num(sim, "total_firings")) << label;
+    EXPECT_EQ(busy, unitBusy) << label;
 
     // Engine blocks bound their unit's lifetime: busy + stalls + idle
     // covers the whole run for every block.
-    for (const auto &b : cf.blocks()) {
-        if (b.kind == "router")
-            continue;
-        uint64_t stall = 0;
-        for (const auto &[k, v] : b.counters)
-            if (k.rfind("stall.", 0) == 0)
-                stall += v;
-        EXPECT_EQ(b.get("busy") + stall + b.get("idle"), r.sim.cycles)
-            << label << ": " << b.id;
+    for (const json::Value *b : engines) {
+        uint64_t sum = 0;
+        for (const auto &[k, v] : b->at("counters").obj)
+            if (k == "busy" || k == "idle" || k.rfind("stall.", 0) == 0)
+                sum += static_cast<uint64_t>(v.num);
+        EXPECT_EQ(sum, num(sim, "cycles")) << label << ": "
+                                           << b->at("id").str;
     }
 
     // Wakeup-class tallies sum to the aggregates.
+    const json::Value &host = sim.at("host");
     uint64_t wake = 0, spur = 0;
-    for (int c = 0; c < sim::kNumWakeClasses; ++c) {
-        wake += r.sim.wakeupsByClass[c];
-        spur += r.sim.spuriousByClass[c];
-        EXPECT_LE(r.sim.spuriousByClass[c], r.sim.wakeupsByClass[c])
-            << label;
+    for (const auto &[cls, v] : host.at("wakeup_classes").obj) {
+        wake += num(v, "wakeups");
+        spur += num(v, "spurious");
+        EXPECT_LE(num(v, "spurious"), num(v, "wakeups")) << label;
     }
-    EXPECT_EQ(wake, r.sim.wakeups) << label;
-    EXPECT_EQ(spur, r.sim.spuriousWakeups) << label;
+    EXPECT_EQ(wake, num(host, "wakeups")) << label;
+    EXPECT_EQ(spur, num(host, "spurious_wakeups")) << label;
 
     // Router blocks re-key the NoC link telemetry exactly.
     if (useNoc) {
-        EXPECT_EQ(cf.total("traversals", "router"), r.sim.noc.hops)
-            << label;
-        EXPECT_EQ(cf.total("wait_cycles", "router"),
-                  r.sim.noc.queueCycles)
-            << label;
-        EXPECT_EQ(cf.total("links", "router"),
-                  static_cast<uint64_t>(r.sim.noc.links))
-            << label;
+        uint64_t traversals = 0, waits = 0, links = 0;
+        for (const json::Value *b : routers) {
+            traversals += num(b->at("counters"), "traversals");
+            waits += num(b->at("counters"), "wait_cycles");
+            links += num(b->at("counters"), "links");
+        }
+        const json::Value &noc = sim.at("noc");
+        EXPECT_EQ(traversals, num(noc, "hops")) << label;
+        EXPECT_EQ(waits, num(noc, "queue_cycles")) << label;
+        EXPECT_EQ(links, num(noc, "links")) << label;
     } else {
-        EXPECT_EQ(cf.total("traversals", "router"), 0u) << label;
+        EXPECT_TRUE(routers.empty()) << label;
     }
 }
 
 TEST(Reconcile, FixedLatencyAllWorkloads)
 {
-    for (const auto &name : workloads::workloadNames())
-        expectReconciled(name, /*useNoc=*/false);
+    for (int par : {8, 32})
+        for (const auto &name : workloads::allWorkloadNames())
+            expectReconciled(name, par, /*useNoc=*/false);
 }
 
 TEST(Reconcile, NocAllWorkloads)
 {
-    for (const auto &name : workloads::workloadNames())
-        expectReconciled(name, /*useNoc=*/true);
+    for (int par : {8, 32})
+        for (const auto &name : workloads::allWorkloadNames())
+            expectReconciled(name, par, /*useNoc=*/true);
 }
 
 // ---------------------------------------------------------------------------
 // Golden rendering: the `--counters` payload is deterministic.
 // ---------------------------------------------------------------------------
 
-TEST(Render, GoldenCountersMs)
+void
+expectGoldenCounters(const std::string &file, bool useNoc)
 {
     workloads::WorkloadConfig cfg;
     cfg.par = 8;
     auto w = workloads::buildByName("ms", cfg);
     runtime::RunConfig rc;
+    rc.sim.useNoc = useNoc;
     auto r = runtime::runWorkload(w, rc);
-    std::string got = renderCounterReport(
-        r.sim.counters, rc.compiler.spec.rows, rc.compiler.spec.cols,
-        r.sim.cycles);
+    std::string got = runtime::counterReport(rc, r);
 
-    std::string golden = std::string(GOLDEN_DIR) + "/counters_ms.txt";
+    std::string golden = std::string(GOLDEN_DIR) + "/" + file;
     if (std::getenv("SARA_UPDATE_GOLDEN")) {
         std::ofstream out(golden);
         out << got;
         GTEST_SKIP() << "regenerated " << golden;
     }
     std::ifstream in(golden);
-    ASSERT_TRUE(in.good())
-        << "missing golden file counters_ms.txt (regenerate with "
-           "SARA_UPDATE_GOLDEN=1)";
+    ASSERT_TRUE(in.good()) << "missing golden file " << file
+                           << " (regenerate with SARA_UPDATE_GOLDEN=1)";
     std::ostringstream want;
     want << in.rdbuf();
     EXPECT_EQ(got, want.str())
-        << "counter report drifted; regenerate tests/golden/"
-           "counters_ms.txt if the change is intentional";
+        << "counter report drifted; regenerate tests/golden/" << file
+        << " if the change is intentional";
 
     // Two renders of the same run are byte-identical.
-    EXPECT_EQ(got, renderCounterReport(r.sim.counters,
-                                       rc.compiler.spec.rows,
-                                       rc.compiler.spec.cols,
-                                       r.sim.cycles));
+    EXPECT_EQ(got, runtime::counterReport(rc, r));
+}
+
+TEST(Render, GoldenCountersMs)
+{
+    expectGoldenCounters("counters_ms.txt", /*useNoc=*/false);
+}
+
+TEST(Render, GoldenCountersMsNoc)
+{
+    // The only rendering of the NoC `routers:` summary line.
+    expectGoldenCounters("counters_ms_noc.txt", /*useNoc=*/true);
 }
 
 TEST(Render, HeatmapMarksPlacedUnits)
 {
-    CounterFile cf;
-    CounterBlock &b = cf.block("pcu_0");
-    b.kind = "pcu";
-    b.x = 0;
-    b.y = 0;
-    b.set("busy", 50);
-    std::string map = renderHeatmap(cf, 2, 2, 100);
-    // 50% busy renders ramp step 5 ('+'); empty cells stay blank.
-    EXPECT_NE(map.find('+'), std::string::npos) << map;
-    EXPECT_NE(map.find("fabric utilization"), std::string::npos);
+    // One Compute unit at (0,0), busy 50 of 100 cycles, on a 2x2 grid.
+    auto compiled = std::make_shared<compiler::CompileResult>();
+    dfg::Vudfg &g = compiled->lowering.graph;
+    dfg::VuId id = g.addUnit(dfg::VuKind::Compute, "pcu_0");
+    g.unit(id).placeX = 0;
+    g.unit(id).placeY = 0;
+    runtime::RunOutcome r;
+    r.compiled = compiled;
+    r.sim.cycles = 100;
+    r.sim.unitStats.resize(1);
+    r.sim.unitStats[0].busyCycles = 50;
+    r.sim.unitStats[0].doneAt = 50;
+    runtime::RunConfig rc;
+    rc.compiler.spec.rows = 2;
+    rc.compiler.spec.cols = 2;
+
+    std::string out = runtime::counterReport(rc, r);
+    EXPECT_NE(out.find("| pcu_0 | pcu  | (0,0) |"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("fabric utilization (busy cycles / 100 total, "
+                       "2x2):"),
+              std::string::npos)
+        << out;
+    // 50% busy renders ramp step 5 ('+'); the empty cells stay blank.
+    EXPECT_NE(out.find("  1 |  |\n  0 |+ |\n"), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("routers:"), std::string::npos) << out;
 }
 
 // ---------------------------------------------------------------------------

@@ -202,6 +202,30 @@ TEST(FairQueue, BoundedDepthRejectsWhenFull)
     EXPECT_TRUE(q.tryPush("a", 3)); // space freed
 }
 
+TEST(FairQueue, SaturatedQueueAdmitsEachTenantItsShare)
+{
+    // Past saturation admission decides the tenant split, so each
+    // tenant may hold only its weighted share of the depth: with b
+    // queued, a and b get ceil(8 * 1/2) = 4 slots each.
+    jobs::FairQueue<int> q(8);
+    ASSERT_TRUE(q.tryPush("b", 0));
+    int a = 0, b = 0;
+    while (q.tryPush("a", 1))
+        ++a;
+    while (q.tryPush("b", 2))
+        ++b;
+    EXPECT_EQ(a, 4);
+    EXPECT_EQ(b, 3);
+    EXPECT_EQ(q.depth("a"), 4u);
+    EXPECT_EQ(q.depth("b"), 4u);
+
+    // A lone tenant still gets the whole queue.
+    jobs::FairQueue<int> lone(8);
+    for (int i = 0; i < 8; ++i)
+        ASSERT_TRUE(lone.tryPush("a", i));
+    EXPECT_FALSE(lone.tryPush("a", 8));
+}
+
 TEST(FairQueue, EqualTenantsAlternateUnderBacklog)
 {
     jobs::FairQueue<std::string> q(64);

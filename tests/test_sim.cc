@@ -612,9 +612,12 @@ TEST(Stalls, FifoHighWaterWithinCapacity)
     runtime::RunConfig rc;
     auto r = runtime::runWorkload(w, rc);
     ASSERT_FALSE(r.sim.fifoStats.empty());
+    const auto &g = r.compiled->lowering.graph;
     bool anyNonZero = false;
-    for (const auto &fs : r.sim.fifoStats) {
-        EXPECT_LE(fs.highWater, fs.capacity) << fs.name;
+    for (size_t i = 0; i < r.sim.fifoStats.size(); ++i) {
+        const auto &fs = r.sim.fifoStats[i];
+        EXPECT_LE(fs.highWater, fs.capacity)
+            << g.stream(dfg::StreamId(i)).name;
         anyNonZero = anyNonZero || fs.highWater > 0;
     }
     EXPECT_TRUE(anyNonZero);

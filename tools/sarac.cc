@@ -47,7 +47,7 @@
  *   --dump-graph       print the VUDFG before simulating
  *   --units            print the per-unit activity table
  *   --stalls           print the per-unit stall-attribution table
- *   --counters         print the per-unit performance-counter file
+ *   --counters         print the per-unit performance counters
  *                      (firings, busy/stall/idle, bytes, occupancy
  *                      peaks; router cells summarized) plus a text
  *                      heatmap of fabric utilization
@@ -97,7 +97,6 @@
 #include "jobs/jobs.h"
 #include "runtime/run.h"
 #include "support/cli.h"
-#include "support/counters.h"
 #include "support/json.h"
 #include "support/logging.h"
 #include "support/table.h"
@@ -246,14 +245,8 @@ printReport(const workloads::Workload &w, const CliOptions &cli,
         std::printf("%s", t.str().c_str());
     }
 
-    if (cli.countersTable) {
-        const auto &spec = cli.rc.compiler.spec;
-        std::printf("%s",
-                    telemetry::renderCounterReport(r.sim.counters,
-                                                   spec.rows, spec.cols,
-                                                   r.sim.cycles)
-                        .c_str());
-    }
+    if (cli.countersTable)
+        std::printf("%s", runtime::counterReport(cli.rc, r).c_str());
 
     if (cli.nocStats && r.sim.noc.enabled) {
         // Busiest links first; quiet links (no queueing) are elided.

@@ -14,7 +14,8 @@
  *   --socket PATH       listen here (default ./sarad.sock)
  *   --workers N         worker threads, 1-256 (default: all cores)
  *   --queue-depth N     admission bound: max queued requests
- *                       (default 64); beyond it requests get a
+ *                       (default 64), each tenant at most its
+ *                       weighted share; beyond it requests get a
  *                       structured `rejected` + retry_after_ms
  *   --cache-dir DIR     on-disk artifact cache (also honours
  *                       $SARA_CACHE_DIR via --cache)
