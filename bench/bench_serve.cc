@@ -362,8 +362,12 @@ main(int argc, char **argv)
 
     // --- Phase 3: two-tenant fairness at saturation -------------------
     // Each tenant offers 0.75x capacity (1.5x aggregate), from its own
-    // connection, concurrently.
-    const double fairRate = std::max(10.0, capacityRps * 0.75);
+    // connection, concurrently. Capacity is the larger of the serial
+    // probe's estimate and the sweep's measured saturation, so the
+    // phase runs past saturation even when the probe underestimates it
+    // and the ratio measures the scheduler, not the load generator.
+    const double fairRate =
+        std::max(10.0, std::max(capacityRps, saturationRps) * 0.75);
     // The fairness ratio is the noisiest acceptance number, so the
     // phase keeps its full duration even under --quick.
     const double fairS = 2.0;

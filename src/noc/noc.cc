@@ -1,6 +1,7 @@
 #include "noc/noc.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "support/hostprof.h"
@@ -12,6 +13,9 @@ NocModel::NocModel(sim::Scheduler &sched, const NocSpec &spec)
     : sched_(&sched), spec_(spec)
 {
     SARA_ASSERT(spec_.hopLatency >= 1, "NoC hop latency must be >= 1");
+    // An admitted flit's element is pushed later in its admission
+    // cycle, so the flit may eject no earlier than the next cycle.
+    SARA_ASSERT(spec_.minLatency >= 1, "NoC min latency must be >= 1");
 }
 
 void
@@ -23,6 +27,7 @@ NocModel::registerStream(const dfg::Stream &s)
     numStreams_ = std::max(numStreams_, static_cast<int>(idx) + 1);
     StreamState &ss = streams_[idx];
     SARA_ASSERT(!ss.registered, "stream registered twice: ", s.name);
+    SARA_ASSERT(rankOf_.empty(), "stream registered after the first flit");
     ss.registered = true;
     if (s.route.empty())
         return;
@@ -34,7 +39,6 @@ NocModel::registerStream(const dfg::Stream &s)
             linkIndex_.try_emplace(rl, static_cast<int>(links_.size()));
         if (inserted) {
             links_.emplace_back();
-            links_.back().model = this;
             links_.back().where = rl;
             links_.back().idx = it->second;
             char buf[32];
@@ -42,18 +46,13 @@ NocModel::registerStream(const dfg::Stream &s)
                           dfg::linkDirName(rl.dir));
             links_.back().site = buf;
         }
-        Link &link = links_[it->second];
-        link.spaceCv.bind(*sched_);
-        ++link.streams;
+        ++links_[it->second].streams;
         ss.path.push_back(it->second);
     }
-    // Feeder edges: when a slot frees in link i+1, link i may have a
-    // flit that just became eligible and must be re-polled.
     for (size_t i = 0; i + 1 < ss.path.size(); ++i) {
-        auto &feeders = links_[ss.path[i + 1]].feeders;
-        if (std::find(feeders.begin(), feeders.end(), ss.path[i]) ==
-            feeders.end())
-            feeders.push_back(ss.path[i]);
+        auto &up = links_[ss.path[i + 1]].upstream;
+        if (std::find(up.begin(), up.end(), ss.path[i]) == up.end())
+            up.push_back(ss.path[i]);
     }
 }
 
@@ -64,18 +63,12 @@ NocModel::participates(dfg::StreamId id) const
     return idx < streams_.size() && streams_[idx].participates;
 }
 
-NocModel::Link &
-NocModel::firstLink(dfg::StreamId id)
+const NocModel::Link &
+NocModel::firstLink(dfg::StreamId id) const
 {
     const StreamState &ss = streams_[id.index()];
     SARA_ASSERT(ss.participates, "stream does not ride the NoC");
     return links_[ss.path.front()];
-}
-
-const NocModel::Link &
-NocModel::firstLink(dfg::StreamId id) const
-{
-    return const_cast<NocModel *>(this)->firstLink(id);
 }
 
 int
@@ -88,98 +81,12 @@ NocModel::freeSlots(const Link &link) const
     return buf - static_cast<int>(link.q.size()) - link.reserved;
 }
 
-bool
-NocModel::canAccept(dfg::StreamId id) const
-{
-    if (!participates(id))
-        return true; // Fixed-latency streams are never admission-gated.
-    return freeSlots(firstLink(id)) > 0;
-}
-
 std::string
 NocModel::firstLinkSite(dfg::StreamId id) const
 {
     if (!participates(id))
         return "";
     return firstLink(id).site;
-}
-
-sim::CondVar &
-NocModel::acceptCv(dfg::StreamId id)
-{
-    return firstLink(id).spaceCv;
-}
-
-void
-NocModel::inject(dfg::StreamId id, DeliverFn deliver, void *ctx)
-{
-    injectAt(id, sched_->now(), deliver, ctx);
-}
-
-void
-NocModel::injectAt(dfg::StreamId id, uint64_t at, DeliverFn deliver,
-                   void *ctx)
-{
-    StreamState &ss = streams_[id.index()];
-    SARA_ASSERT(ss.participates, "inject on a stream without a route");
-    // Per-stream injection order must match call order even when DRAM
-    // response delays differ (in-order streams).
-    at = std::max(at, ss.lastInjectAt);
-    ss.lastInjectAt = at;
-    Flit flit{this, static_cast<int>(id.index()), 0, at, at, deliver, ctx};
-    Flit *f;
-    if (freeFlits_.empty()) {
-        f = &flits_.emplace_back(flit);
-    } else {
-        f = freeFlits_.back();
-        freeFlits_.pop_back();
-        *f = flit;
-    }
-    ++flitsInjected_;
-    ++inflight_;
-    peakInflight_ = std::max(peakInflight_, inflight_);
-    if (at == sched_->now()) {
-        sampleLoad();
-        enqueue(f, ss.path.front());
-    } else {
-        sched_->scheduleFnAt(
-            [](void *p) {
-                Flit *flit = static_cast<Flit *>(p);
-                NocModel *m = flit->model;
-                m->sampleLoad();
-                m->enqueue(
-                    flit,
-                    m->streams_[flit->stream].path[flit->hop]);
-            },
-            f, at);
-    }
-}
-
-void
-NocModel::enqueue(Flit *f, int linkIdx)
-{
-    Link &link = links_[linkIdx];
-    f->arrivedAt = sched_->now();
-    if (link.q.empty())
-        ++busyLinks_;
-    link.q.push_back(f);
-    link.qHighWater =
-        std::max(link.qHighWater, static_cast<uint64_t>(link.q.size()));
-    schedulePoll(link, std::max(sched_->now(), link.freeAt));
-}
-
-void
-NocModel::schedulePoll(Link &link, uint64_t at)
-{
-    if (link.pollScheduled)
-        return;
-    link.pollScheduled = true;
-    sched_->scheduleFnAt(
-        [](void *p) {
-            Link *l = static_cast<Link *>(p);
-            l->model->poll(*l);
-        },
-        &link, at);
 }
 
 const std::string &
@@ -192,43 +99,285 @@ NocModel::linkSite(int idx) const
 }
 
 void
-NocModel::poll(Link &link)
+NocModel::rankLinks()
 {
-    telemetry::ScopedPhase phase(telemetry::HostPhase::NocArb);
-    link.pollScheduled = false;
-    uint64_t now = sched_->now();
-    if (now < link.freeAt) {
-        schedulePoll(link, link.freeAt);
+    // Depth-first post-order over the upstream edges emits every link
+    // after all links upstream of it; reversed, downstream comes first.
+    // Turn-free X-Y routes admit no cycle; a grey link reached again
+    // would be one.
+    enum : uint8_t { White, Grey, Black };
+    std::vector<uint8_t> color(links_.size(), White);
+    byRank_.clear();
+    auto visit = [&](auto &self, int li) -> void {
+        color[li] = Grey;
+        for (int u : links_[li].upstream) {
+            SARA_ASSERT(color[u] != Grey, "NoC routes form a cycle at ",
+                        links_[u].site);
+            if (color[u] == White)
+                self(self, u);
+        }
+        color[li] = Black;
+        byRank_.push_back(li);
+    };
+    for (size_t li = 0; li < links_.size(); ++li)
+        if (color[li] == White)
+            visit(visit, static_cast<int>(li));
+    std::reverse(byRank_.begin(), byRank_.end());
+    rankOf_.assign(links_.size(), 0);
+    for (size_t r = 0; r < byRank_.size(); ++r)
+        rankOf_[byRank_[r]] = static_cast<int>(r);
+    active_.assign((links_.size() + 63) / 64, 0);
+}
+
+void
+NocModel::setActive(const Link &link)
+{
+    if (rankOf_.size() != links_.size())
+        rankLinks();
+    const int r = rankOf_[link.idx];
+    active_[r / 64] |= uint64_t{1} << (r % 64);
+}
+
+NocModel::Flit *
+NocModel::newFlit(int stream, uint64_t at, DeliverFn deliver, void *ctx)
+{
+    Flit flit{this, stream, 0, at, at, deliver, ctx};
+    Flit *f;
+    if (freeFlits_.empty()) {
+        f = &flits_.emplace_back(flit);
+    } else {
+        f = freeFlits_.back();
+        freeFlits_.pop_back();
+        *f = flit;
+    }
+    ++flitsInjected_;
+    ++inflight_;
+    peakInflight_ = std::max(peakInflight_, inflight_);
+    return f;
+}
+
+void
+NocModel::stage(dfg::StreamId id, DeliverFn deliver, void *ctx,
+                sim::Scheduler::EventFn wake, void *wakeArg)
+{
+    StreamState &ss = streams_[id.index()];
+    SARA_ASSERT(ss.participates, "stage on a stream without a route");
+    SARA_ASSERT(!ss.wake, "second staged request on one stream");
+    // A staged flit enters now, so it must not overtake a delayed
+    // injection of its own stream.
+    SARA_ASSERT(ss.lastInjectAt <= sched_->now(),
+                "staged flit would overtake a delayed injection");
+    ss.deliver = deliver;
+    ss.ctx = ctx;
+    ss.wake = wake;
+    ss.wakeArg = wakeArg;
+    Link &link = links_[ss.path.front()];
+    link.staged.push_back(static_cast<int>(id.index()));
+    ++stagedCount_;
+    setActive(link);
+    arm();
+}
+
+void
+NocModel::injectAt(dfg::StreamId id, uint64_t at, DeliverFn deliver,
+                   void *ctx)
+{
+    StreamState &ss = streams_[id.index()];
+    SARA_ASSERT(ss.participates, "inject on a stream without a route");
+    // Per-stream injection order must match call order even when DRAM
+    // response delays differ (in-order streams).
+    at = std::max(at, ss.lastInjectAt);
+    ss.lastInjectAt = at;
+    Flit *f = newFlit(static_cast<int>(id.index()), at, deliver, ctx);
+    if (at == sched_->now()) {
+        arrive(f);
         return;
     }
+    sched_->scheduleFnAt(
+        [](void *p) {
+            Flit *flit = static_cast<Flit *>(p);
+            flit->model->arrive(flit);
+        },
+        f, at);
+}
+
+void
+NocModel::enqueue(Flit *f)
+{
+    const std::vector<int> &path = streams_[f->stream].path;
+    Link &link = links_[path[f->hop]];
+    if (static_cast<size_t>(f->hop) + 1 < path.size()) {
+        Link &next = links_[path[f->hop + 1]];
+        ++next.incoming;
+        setActive(next);
+    }
+    f->arrivedAt = sched_->now();
     if (link.q.empty())
-        return;
-    // Deterministic round-robin: among queued flits whose next hop has
-    // buffer space (the destination FIFO always does), grant the one
-    // whose stream id follows the cursor closest in cyclic order; for
-    // several flits of that stream, the earliest-queued wins.
+        ++busyLinks_;
+    link.q.push_back(f);
+    link.qHighWater =
+        std::max(link.qHighWater, static_cast<uint64_t>(link.q.size()));
+    setActive(link);
+}
+
+void
+NocModel::arrive(Flit *f)
+{
+    sampleLoad();
+    enqueue(f);
+    arm();
+}
+
+void
+NocModel::arm()
+{
+    if (!armed_) {
+        armed_ = true;
+        sched_->atCycleEnd(&NocModel::passTrampoline, this);
+    }
+}
+
+void
+NocModel::passTrampoline(void *arg)
+{
+    static_cast<NocModel *>(arg)->pass();
+}
+
+void
+NocModel::pass()
+{
+    telemetry::ScopedPhase phase(telemetry::HostPhase::NocArb);
+    armed_ = false;
+    ++passNo_;
+    const uint64_t now = sched_->now();
+    bool moved = false;
+    for (size_t w = 0; w < active_.size(); ++w) {
+        for (uint64_t bits = active_[w]; bits; bits &= bits - 1) {
+            const int r = static_cast<int>(w * 64) + std::countr_zero(bits);
+            Link &link = links_[byRank_[r]];
+            moved |= tryGrant(link);
+            // An admitted flit may still cross the link this cycle when
+            // the link has not granted yet.
+            if (receive(link)) {
+                moved = true;
+                tryGrant(link);
+            }
+            if (link.q.empty() && link.staged.empty() && !link.incoming)
+                active_[w] &= ~(uint64_t{1} << (r % 64));
+        }
+    }
+    // One tick per busy cycle. A pass that moved nothing leaves the
+    // network as it found it, so it stays frozen until an arrival or a
+    // staged request arms the pass again.
+    if (moved && (busyLinks_ > 0 || stagedCount_ > 0) &&
+        tickAt_ != now + 1) {
+        tickAt_ = now + 1;
+        sched_->scheduleFnAt(
+            [](void *p) { static_cast<NocModel *>(p)->arm(); }, this,
+            now + 1);
+    }
+}
+
+bool
+NocModel::receive(Link &link)
+{
+    if (link.staged.empty() && !link.incoming)
+        return false; // Nothing waits to enter.
+    const uint64_t now = sched_->now();
+    link.accepted.clear();
+    link.acceptedIn = passNo_;
+    int free = freeSlots(link);
+    if (free <= 0)
+        return false;
+    // Candidates: staged requests here and, once per stream, the flits
+    // queued at upstream links that may grant this cycle.
+    entrants_.assign(link.staged.begin(), link.staged.end());
+    for (int ui : link.upstream) {
+        const Link &up = links_[ui];
+        if (up.freeAt > now)
+            continue;
+        for (const Flit *f : up.q) {
+            const std::vector<int> &path = streams_[f->stream].path;
+            if (static_cast<size_t>(f->hop) + 1 < path.size() &&
+                path[f->hop + 1] == link.idx &&
+                std::find(entrants_.begin(), entrants_.end(), f->stream) ==
+                    entrants_.end())
+                entrants_.push_back(f->stream);
+        }
+    }
+    bool admitted = false;
+    while (free > 0 && !entrants_.empty()) {
+        // Round-robin: the stream id following the cursor closest in
+        // cyclic order enters next.
+        size_t best = 0;
+        int bestDist = numStreams_;
+        for (size_t i = 0; i < entrants_.size(); ++i) {
+            const int dist = rrDistance(entrants_[i], link.inCursor);
+            if (dist < bestDist) {
+                bestDist = dist;
+                best = i;
+            }
+        }
+        const int sid = entrants_[best];
+        entrants_[best] = entrants_.back();
+        entrants_.pop_back();
+        link.inCursor = sid;
+        --free;
+        StreamState &ss = streams_[sid];
+        if (ss.path.front() != link.idx) {
+            link.accepted.push_back(sid); // Holds the slot for upstream.
+            continue;
+        }
+        link.staged.erase(
+            std::find(link.staged.begin(), link.staged.end(), sid));
+        --stagedCount_;
+        ss.lastInjectAt = now;
+        sampleLoad();
+        enqueue(newFlit(sid, now, ss.deliver, ss.ctx));
+        sched_->scheduleFnAt(ss.wake, ss.wakeArg, now);
+        ss.wake = nullptr;
+        admitted = true;
+    }
+    return admitted;
+}
+
+bool
+NocModel::takes(const Link &next, int s) const
+{
+    if (next.acceptedIn != passNo_)
+        return freeSlots(next) > 0;
+    return std::find(next.accepted.begin(), next.accepted.end(), s) !=
+               next.accepted.end() ||
+           freeSlots(next) > static_cast<int>(next.accepted.size());
+}
+
+bool
+NocModel::tryGrant(Link &link)
+{
+    if (link.q.empty() || link.freeAt > sched_->now())
+        return false;
+    // Deterministic round-robin: among queued flits that eject or that
+    // their next link takes in, grant the one whose stream id follows
+    // the cursor closest in cyclic order; for several flits of that
+    // stream, the earliest-queued wins.
     int bestDist = -1;
     size_t bestPos = 0;
     for (size_t i = 0; i < link.q.size(); ++i) {
         const Flit *f = link.q[i];
+        const int dist = rrDistance(f->stream, link.rrCursor);
+        if (bestDist >= 0 && dist >= bestDist)
+            continue;
         const StreamState &ss = streams_[f->stream];
-        if (static_cast<size_t>(f->hop) + 1 < ss.path.size()) {
-            const Link &next = links_[ss.path[f->hop + 1]];
-            if (freeSlots(next) <= 0)
-                continue; // Downstream buffer full (or credits stuck).
-        }
-        int dist = (f->stream - link.rrCursor - 1 + 2 * numStreams_) %
-                   numStreams_;
-        if (bestDist < 0 || dist < bestDist) {
-            bestDist = dist;
-            bestPos = i;
-        }
+        if (static_cast<size_t>(f->hop) + 1 < ss.path.size() &&
+            !takes(links_[ss.path[f->hop + 1]], f->stream))
+            continue; // Its next link has no slot for it.
+        bestDist = dist;
+        bestPos = i;
     }
     if (bestDist < 0)
-        return; // All blocked downstream; feeder re-poll will retry.
+        return false;
     grant(link, bestPos);
-    if (!link.q.empty())
-        schedulePoll(link, link.freeAt);
+    return true;
 }
 
 void
@@ -237,6 +386,18 @@ NocModel::grant(Link &link, size_t qPos)
     uint64_t now = sched_->now();
     Flit *f = link.q[qPos];
     link.q.erase(link.q.begin() + static_cast<ptrdiff_t>(qPos));
+    const StreamState &ss = streams_[f->stream];
+    Link *next = static_cast<size_t>(f->hop) + 1 < ss.path.size()
+                     ? &links_[ss.path[f->hop + 1]]
+                     : nullptr;
+    if (next) {
+        --next->incoming;
+        // A slot the next link held for this stream is used now.
+        auto it = std::find(next->accepted.begin(), next->accepted.end(),
+                            f->stream);
+        if (next->acceptedIn == passNo_ && it != next->accepted.end())
+            next->accepted.erase(it);
+    }
     if (link.q.empty())
         --busyLinks_;
     link.freeAt = now + 1;
@@ -249,16 +410,6 @@ NocModel::grant(Link &link, size_t qPos)
     link.waitCycles += now - f->arrivedAt;
     totalQueueCycles_ += now - f->arrivedAt;
 
-    // The vacated slot unblocks producers injecting here and feeder
-    // links with flits destined here. One grant frees one slot, so it
-    // wakes only the longest-parked producer; the rest would lose the
-    // re-check race anyway (thundering herd). Guarded behind
-    // hasWaiters so uncontended grants skip scheduler traffic.
-    if (link.spaceCv.hasWaiters())
-        link.spaceCv.notifyOne();
-    for (int fi : link.feeders)
-        schedulePoll(links_[fi], now);
-
     // Injected faults on the granted traversal: extra wire delay,
     // and/or a duplicated crossing (the flit lands back in its own
     // input buffer and must re-arbitrate; it still delivers exactly
@@ -270,28 +421,26 @@ NocModel::grant(Link &link, size_t qPos)
             [](void *p) {
                 Flit *flit = static_cast<Flit *>(p);
                 NocModel *m = flit->model;
-                m->enqueue(flit,
-                           m->streams_[flit->stream].path[flit->hop]);
+                m->enqueue(flit);
+                m->arm();
             },
             f,
             now + static_cast<uint64_t>(spec_.hopLatency) + faultDelay);
         return;
     }
 
-    const StreamState &ss = streams_[f->stream];
-    if (static_cast<size_t>(f->hop) + 1 < ss.path.size()) {
+    if (next) {
         // Reserve the downstream slot for the duration of the flight.
-        Link &next = links_[ss.path[f->hop + 1]];
-        ++next.reserved;
+        ++next->reserved;
         ++f->hop;
         sched_->scheduleFnAt(
             [](void *p) {
                 Flit *flit = static_cast<Flit *>(p);
                 NocModel *m = flit->model;
-                Link &l =
-                    m->links_[m->streams_[flit->stream].path[flit->hop]];
-                --l.reserved;
-                m->enqueue(flit, m->streams_[flit->stream].path[flit->hop]);
+                --m->links_[m->streams_[flit->stream].path[flit->hop]]
+                      .reserved;
+                m->enqueue(flit);
+                m->arm();
             },
             f, now + static_cast<uint64_t>(spec_.hopLatency) + faultDelay);
     } else {
@@ -325,6 +474,8 @@ NocModel::deliverFlit(Flit *f)
 void
 NocModel::sampleLoad()
 {
+    if (!traceLoad_)
+        return; // Only the trace reads these series.
     uint64_t now = sched_->now();
     loadSeries_.sample(now, static_cast<double>(inflight_));
     busySeries_.sample(now, static_cast<double>(busyLinks_));

@@ -11,11 +11,8 @@
  * scalar latency:
  *
  *  - every element (all vector lanes of one firing) is one flit;
- *  - each directed link grants at most one flit per cycle, chosen by a
- *    deterministic round-robin over stream ids among the flits whose
- *    next-hop buffer has space;
- *  - each link has a small input buffer (`kLinkBuffer` flits);
- *    a granted flit reserves its slot in the downstream buffer before
+ *  - each link has a small input buffer (`kLinkBuffer` flits); a
+ *    granted flit reserves its slot in the downstream buffer before
  *    it starts the `hopLatency`-cycle traversal — link-level credit
  *    flow control, so congestion back-pressures hop by hop all the way
  *    to the producer, which blocks in `StallCause::Network`;
@@ -24,9 +21,26 @@
  *    in flight), which together with the turn-free X-then-Y routes
  *    makes the network deadlock-free by construction.
  *
- * Determinism: the scheduler resolves same-cycle events in insertion
- * order and arbitration state is a per-link cursor over stream ids, so
- * two runs of the same compiled graph are cycle-identical.
+ * All arbitration happens in one end-of-cycle pass (registered through
+ * `Scheduler::atCycleEnd`, like the simulator's DRAM and PMU-bus
+ * arbiters). It visits the links with queued flits, staged requests or
+ * flits waiting upstream, downstream first (X-Y routes keep the link
+ * graph acyclic), and each link in turn
+ *  - sends: it grants at most one flit per cycle, by a deterministic
+ *    round-robin over stream ids among its flits that eject or that
+ *    their next link took in (for several flits of one stream, the
+ *    earliest queued);
+ *  - receives: it hands its free slots, by a second round-robin over
+ *    stream ids, to the flits waiting to enter it — producers' staged
+ *    first-hop requests (`stage`) and flits queued at its upstream
+ *    links — so neither injection nor through traffic, nor any one
+ *    upstream link, has a fixed claim on them. An admitted request's
+ *    flit enters the buffer at once and its producer wakes.
+ * Because the link sends before it receives, a slot freed by a grant
+ * is handed out upstream in the same cycle. The pass sees every flit
+ * and request of the cycle at once, so the simulated timing depends
+ * only on the compiled graph, never on the order in which the host ran
+ * the cycle's events.
  */
 
 #include <cstdint>
@@ -83,10 +97,11 @@ struct NocStats
 };
 
 /**
- * The network model. Register every stream once (before simulation),
- * then producers gate on `canAccept` and call `inject`/`injectAt`;
- * the model invokes the delivery callback when the flit ejects at the
- * destination, in per-stream push order.
+ * The network model. Register every stream once (before simulation);
+ * producers then `stage` each flit and wait for its admission, and
+ * DRAM responses enter through `injectAt`. The model invokes the
+ * delivery callback when the flit ejects at the destination, in
+ * per-stream push order.
  */
 class NocModel
 {
@@ -106,14 +121,15 @@ class NocModel
      *  (non-empty route and a routed kind). */
     bool participates(dfg::StreamId id) const;
 
-    /** True when the stream's first-hop buffer can take a flit now. */
-    bool canAccept(dfg::StreamId id) const;
-
-    /** Wait list for `canAccept` (notified when a slot frees). */
-    sim::CondVar &acceptCv(dfg::StreamId id);
-
-    /** Inject one flit now. Caller must gate on `canAccept`. */
-    void inject(dfg::StreamId id, DeliverFn deliver, void *ctx);
+    /**
+     * Stage one flit's first-hop request. The end-of-cycle pass admits
+     * it once the first-hop link has a free slot: the flit (delivered
+     * through `deliver(ctx)`) enters that link's buffer and
+     * `wake(wakeArg)` runs in the same cycle. A stream has one
+     * producer, so at most one request per stream is staged at a time.
+     */
+    void stage(dfg::StreamId id, DeliverFn deliver, void *ctx,
+               sim::Scheduler::EventFn wake, void *wakeArg);
 
     /**
      * Inject at absolute time `at` (DRAM responses). Not gated on
@@ -139,6 +155,9 @@ class NocModel
      *  — must outlive the model. */
     void setFlightRecorder(telemetry::FlightRecorder *f) { flight_ = f; }
 
+    /** Record the load series below (only a trace reads them). */
+    void traceLoad() { traceLoad_ = true; }
+
     /** Site name ("(x,y)D") of the link with the given index, as
      *  recorded in LinkGrant flight events; "?" when out of range. */
     const std::string &linkSite(int idx) const;
@@ -154,9 +173,10 @@ class NocModel
 
     NocStats stats() const;
 
-    /** Flits in flight over time (sampled on every inject/deliver). */
+    /** Flits in flight over time (sampled on every inject/deliver when
+     *  traceLoad() is on). */
     const telemetry::TimeSeries &loadSeries() const { return loadSeries_; }
-    /** Links with queued flits over time. */
+    /** Links with queued flits over time (same sampling). */
     const telemetry::TimeSeries &busySeries() const { return busySeries_; }
 
   private:
@@ -176,7 +196,6 @@ class NocModel
     /** One directed link: input buffer + single-grant-per-cycle port. */
     struct Link
     {
-        NocModel *model = nullptr;
         dfg::RouteLink where;
         int idx = -1;     ///< Index into links_ (flight-event key).
         std::string site; ///< "(x,y)D" — fault-injection site name.
@@ -184,22 +203,52 @@ class NocModel
         std::vector<Flit *> q;    ///< Waiting flits, arrival order.
         int reserved = 0;         ///< Slots held by in-transit flits.
         uint64_t freeAt = 0;      ///< Next cycle a grant is possible.
-        bool pollScheduled = false;
         int rrCursor = -1;        ///< Stream id of the last grant.
-        std::vector<int> feeders; ///< Upstream link indices to re-poll.
-        sim::CondVar spaceCv;     ///< Producers waiting to inject here.
+        int inCursor = -1;        ///< Stream id of the last entry.
+        /** Streams with a staged first-hop request here. */
+        std::vector<int> staged;
+        /** Streams whose upstream flit this link took in during pass
+         *  `acceptedIn`, each holding one of its free slots. */
+        std::vector<int> accepted;
+        uint64_t acceptedIn = 0;
+        int incoming = 0; ///< Flits queued upstream with this next hop.
+        std::vector<int> upstream; ///< Links feeding this one.
         uint64_t traversals = 0, waitCycles = 0, qHighWater = 0;
     };
 
-    Link &firstLink(dfg::StreamId id);
     const Link &firstLink(dfg::StreamId id) const;
     /** Buffer slots usable for new flits: kLinkBuffer minus occupancy,
      *  reservations and any injected stuck credits. */
     int freeSlots(const Link &link) const;
-    void enqueue(Flit *f, int linkIdx);
-    void schedulePoll(Link &link, uint64_t at);
-    void poll(Link &link);
+    Flit *newFlit(int stream, uint64_t at, DeliverFn deliver, void *ctx);
+    /** Queue `f` at its current hop's link. */
+    void enqueue(Flit *f);
+    /** A DRAM response flit enters the network: queue it and arm the
+     *  pass. */
+    void arrive(Flit *f);
+    /** Register the end-of-cycle pass for the current cycle (once). */
+    void arm();
+    static void passTrampoline(void *arg);
+    void pass();
+    /** Grant one flit across `link` if it may grant this cycle. */
+    bool tryGrant(Link &link);
     void grant(Link &link, size_t qPos);
+    /** True when `next` takes stream `s`'s flit from upstream now: it
+     *  accepted it this pass, or has a slot it handed to nobody. */
+    bool takes(const Link &next, int s) const;
+    /** Position of stream `s` in a round-robin that resumes after
+     *  stream `cursor` (-1: from stream 0). */
+    int
+    rrDistance(int s, int cursor) const
+    {
+        const int d = s - cursor - 1;
+        return d < 0 ? d + numStreams_ : d;
+    }
+    /** Hand `link`'s free slots to the requests waiting to enter it. */
+    bool receive(Link &link);
+    /** Number the links downstream first (the pass's visit order). */
+    void rankLinks();
+    void setActive(const Link &link);
     void deliverFlit(Flit *f);
     void sampleLoad();
 
@@ -214,12 +263,30 @@ class NocModel
         bool registered = false;
         bool participates = false;
         uint64_t lastInjectAt = 0;
+        // The staged first-hop request (stage()); wake is null when
+        // none is staged.
+        DeliverFn deliver = nullptr;
+        void *ctx = nullptr;
+        sim::Scheduler::EventFn wake = nullptr;
+        void *wakeArg = nullptr;
     };
     std::vector<StreamState> streams_; ///< Indexed by stream id.
     int numStreams_ = 0;               ///< Round-robin modulus.
 
-    std::deque<Link> links_; ///< Stable addresses (CondVar refs).
+    std::vector<Link> links_;
     std::map<dfg::RouteLink, int> linkIndex_;
+
+    // The pass visits the active links (queued flits, staged requests
+    // or incoming flits) in rank order: a bitmap over ranks,
+    // downstream first.
+    std::vector<int> rankOf_;    ///< Link index -> rank.
+    std::vector<int> byRank_;    ///< Rank -> link index.
+    std::vector<uint64_t> active_;
+    std::vector<int> entrants_; ///< receive()'s candidate streams.
+    uint64_t passNo_ = 0;       ///< Passes run (acceptedIn stamps).
+    int stagedCount_ = 0;       ///< Requests staged network-wide.
+    bool armed_ = false;
+    uint64_t tickAt_ = UINT64_MAX; ///< Cycle of the scheduled tick.
 
     /** Owns every flit (stable addresses); delivered flits go on
      *  `freeFlits_` and are reused by the next injection, so a steady
@@ -230,6 +297,7 @@ class NocModel
     uint64_t inflight_ = 0, peakInflight_ = 0;
     uint64_t flitsInjected_ = 0, totalHops_ = 0, totalQueueCycles_ = 0;
     int busyLinks_ = 0;
+    bool traceLoad_ = false;
     telemetry::TimeSeries loadSeries_{4096, 8};
     telemetry::TimeSeries busySeries_{4096, 8};
 };

@@ -94,30 +94,37 @@ class FifoState
     /** True when the stream rides the cycle-level network. */
     bool onNoc() const { return noc_ != nullptr; }
 
-    /** NoC admission: the first-hop link buffer can take a flit.
-     *  Always true for fixed-latency streams. A producer blocked here
-     *  (with credit space available) is stalled on the *network*. */
-    bool canInject() const
+    /**
+     * NoC streams: stage the next push's first-hop request. The NoC's
+     * end-of-cycle pass admits it once the first-hop link has a free
+     * slot — the element's flit enters the network then — and runs
+     * `wake(arg)` in that cycle; the push that follows carries the
+     * element. A producer blocked here (with a credit in hand) is
+     * stalled on the *network*.
+     */
+    void
+    stage(Scheduler::EventFn wake, void *arg)
     {
-        return !noc_ || noc_->canAccept(spec_->id);
+        SARA_ASSERT(hasSpace(), "stage on full fifo ", spec_->name);
+        noc_->stage(spec_->id, deliverTrampoline, this, wake, arg);
+        ++staged_;
     }
 
-    /** Wait list for `canInject` (only valid when `onNoc()`). */
-    CondVar &injectCv() { return noc_->acceptCv(spec_->id); }
-
     /** Push the `n` lanes at `lanes` now (a token push takes none);
-     *  delivered after the stream latency (or the network transit time
-     *  when a NoC is attached), in order. */
+     *  delivered after the stream latency, in order. On a NoC stream
+     *  the element rides the flit a stage() got admitted. */
     void
     push(const double *lanes = nullptr, int n = 0)
     {
         SARA_ASSERT(hasSpace(), "push to full fifo ", spec_->name);
-        SARA_ASSERT(canInject(), "push to blocked link ", spec_->name);
         enqueue(lanes, n);
-        if (noc_)
-            noc_->inject(spec_->id, deliverTrampoline, this);
-        else
+        if (noc_) {
+            SARA_ASSERT(staged_ > 0, "push without a staged flit to ",
+                        spec_->name);
+            --staged_;
+        } else {
             scheduleDelivery(sched_->now() + latency_);
+        }
     }
 
     /** Push with an explicit extra delay (DRAM responses). */
@@ -159,12 +166,7 @@ class FifoState
         if (inj_ && capacity_ != UINT64_MAX && capacity_ > 1 &&
             inj_->fifoLeak(spec_->name, sched_->now()))
             --capacity_;
-        // A stream has exactly one producer engine, so spaceCv holds at
-        // most one waiter: notifyOne wakes it, and the hasWaiters guard
-        // keeps waiter-free pops (the common case) off the scheduler
-        // entirely.
-        if (spaceCv.hasWaiters())
-            spaceCv.notifyOne();
+        spaceCv.notify();
     }
 
     uint64_t pushes() const { return pushes_; }
@@ -174,7 +176,8 @@ class FifoState
     /** Credit-window capacity (UINT64_MAX for token streams). */
     uint64_t capacity() const { return capacity_; }
 
-    /** Waiters: consumers park on dataCv, producers on spaceCv. */
+    /** Waiters: the stream's one consumer parks on dataCv, its one
+     *  producer on spaceCv. */
     CondVar dataCv, spaceCv;
 
   private:
@@ -226,9 +229,7 @@ class FifoState
         if (flight_)
             flight_->record(telemetry::FlightKind::Deliver,
                             sched_->now(), spec_->id.v);
-        // Single consumer engine per stream: see pop().
-        if (dataCv.hasWaiters())
-            dataCv.notifyOne();
+        dataCv.notify();
     }
 
     /** NoC ejection callback (per-stream order is guaranteed). */
@@ -252,6 +253,7 @@ class FifoState
     int width_ = 0;
     uint64_t head_ = 0;
     uint64_t stored_ = 0, inflight_ = 0;
+    uint64_t staged_ = 0; ///< NoC flits staged but not yet pushed.
     uint64_t capacity_ = 0;
     uint64_t latency_ = 1;
     uint64_t lastDeliverAt_ = 0;

@@ -226,15 +226,6 @@ struct Simulator::Engine
     uint64_t busExtra = 0;       ///< Bank-conflict cycles riding the grant.
     std::vector<std::pair<uint64_t, uint32_t>> stagedBursts; ///< addr,bytes
 
-    /** The NoC link wait list this engine was just woken from (null
-     *  outside a wake). Any park back on the same list before the next
-     *  suspension goes to the notify *cursor*, so this engine's
-     *  re-park lands after the same-cycle racers that beat its resume
-     *  but ahead of the still-parked waiters (see CondVar::notifyOne).
-     *  Cleared at every suspension point (the resume-chain ends
-     *  there). */
-    CondVar *grantWake = nullptr;
-
     // Stats and diagnostics.
     UnitStats stats;
     uint64_t flops = 0;
@@ -281,6 +272,8 @@ Simulator::Simulator(const ir::Program &program, const dfg::Vudfg &graph,
         noc_ = std::make_unique<noc::NocModel>(sched_, opt_.noc);
         noc_->setFaultInjector(opt_.fault);
         noc_->setFlightRecorder(&flight_);
+        if (!opt_.traceFile.empty())
+            noc_->traceLoad();
         for (size_t i = 0; i < g_.numStreams(); ++i)
             noc_->registerStream(g_.stream(dfg::StreamId(i)));
     }
@@ -430,7 +423,7 @@ struct Simulator::DataWait
         : sim(sim), e(e), f(f), cause(cause), why(why)
     {
     }
-    // A parked wait list holds this awaiter's address.
+    // A parked wait holds this awaiter's address.
     DataWait(const DataWait &) = delete;
     DataWait &operator=(const DataWait &) = delete;
 
@@ -465,7 +458,6 @@ struct Simulator::DataWait
         e.parkOn(Engine::WaitKind::StreamData, f.spec().id.v, why,
                  f.spec().name);
         blockedAt = sim.sched_.now();
-        e.grantWake = nullptr;
         f.dataCv.park(&DataWait::wake, this);
     }
 
@@ -473,7 +465,6 @@ struct Simulator::DataWait
     wake(void *p)
     {
         auto &w = *static_cast<DataWait *>(p);
-        w.f.dataCv.wakeLanded();
         w.sim.noteWake(w.e, WakeClass::FifoData, w.f.empty());
         w.e.stats.stallCycles[static_cast<int>(w.cause)] +=
             w.sim.sched_.now() - w.blockedAt;
@@ -485,21 +476,23 @@ struct Simulator::DataWait
 };
 
 /**
- * Awaiter for a stream's credit, as DataWait. Two independent
- * admission gates, each with its own attribution: the end-to-end
- * credit window (consumer backpressure -> `cause`, normally Credit)
- * and, on NoC runs, the first-hop link buffer (network contention ->
- * Network). Both are re-checked after every wakeup; the cycles blocked
- * on each gate are disjoint.
+ * Awaiter for a stream's credit, as DataWait. For a push on a NoC
+ * stream (`admit`) the producer then stages its flit's first-hop
+ * request and waits for the NoC's end-of-cycle pass to admit it. Each
+ * gate has its own attribution, and the cycles blocked on each are
+ * disjoint: the end-to-end credit window (consumer backpressure ->
+ * `cause`, normally Credit) and first-hop admission (network
+ * contention -> Network).
  */
 struct Simulator::SpaceWait
 {
     SpaceWait(Simulator &sim, Engine &e, FifoState &f, StallCause cause,
-              const char *why)
-        : sim(sim), e(e), f(f), cause(cause), why(why)
+              const char *why, bool admit)
+        : sim(sim), e(e), f(f), cause(cause), why(why),
+          admit(admit && f.onNoc())
     {
     }
-    // A parked wait list holds this awaiter's address.
+    // A parked wait holds this awaiter's address.
     SpaceWait(const SpaceWait &) = delete;
     SpaceWait &operator=(const SpaceWait &) = delete;
 
@@ -508,13 +501,14 @@ struct Simulator::SpaceWait
     FifoState &f;
     StallCause cause;
     const char *why;
+    bool admit;
     uint64_t blockedAt = 0;
     std::coroutine_handle<> h;
 
     bool
     await_ready()
     {
-        if (f.hasSpace() && f.canInject()) {
+        if (f.hasSpace() && !admit) {
             e.unpark();
             return true;
         }
@@ -528,7 +522,7 @@ struct Simulator::SpaceWait
     }
     void await_resume() const noexcept {}
 
-    /** Park on the first closed gate. */
+    /** Park on the credit, or with one in hand stage the flit. */
     void
     park()
     {
@@ -536,54 +530,37 @@ struct Simulator::SpaceWait
         if (!f.hasSpace()) {
             e.parkOn(Engine::WaitKind::StreamSpace, f.spec().id.v, why,
                      f.spec().name);
-            e.grantWake = nullptr;
             f.spaceCv.park(&SpaceWait::spaceWake, this);
             return;
         }
         e.parkOn(Engine::WaitKind::NetInject, f.spec().id.v, "link busy",
                  f.spec().name);
-        // An engine that was just woken off this link's wait list
-        // re-parks at the notify cursor (after same-cycle racers,
-        // before the surviving waiters): see CondVar::notifyOne and
-        // Engine::grantWake.
-        CondVar &icv = f.injectCv();
-        bool atCursor = e.grantWake == &icv;
-        e.grantWake = nullptr;
-        icv.park(&SpaceWait::injectWake, this, atCursor);
+        f.stage(&SpaceWait::admitted, this);
     }
 
     static void
     spaceWake(void *p)
     {
         auto &w = *static_cast<SpaceWait *>(p);
-        w.f.spaceCv.wakeLanded();
         w.sim.noteWake(w.e, WakeClass::FifoSpace, !w.f.hasSpace());
         w.e.stats.stallCycles[static_cast<int>(w.cause)] +=
             w.sim.sched_.now() - w.blockedAt;
-        w.recheck();
+        if (w.await_ready())
+            w.h.resume();
+        else
+            w.park();
     }
 
+    /** The NoC admitted the staged flit: push now. */
     static void
-    injectWake(void *p)
+    admitted(void *p)
     {
         auto &w = *static_cast<SpaceWait *>(p);
-        CondVar &icv = w.f.injectCv();
-        icv.wakeLanded();
-        w.e.grantWake = &icv;
-        w.sim.noteWake(w.e, WakeClass::NocInject,
-                       !w.f.hasSpace() || !w.f.canInject());
+        w.sim.noteWake(w.e, WakeClass::NocInject, false);
         w.e.stats.stallCycles[static_cast<int>(StallCause::Network)] +=
             w.sim.sched_.now() - w.blockedAt;
-        w.recheck();
-    }
-
-    void
-    recheck()
-    {
-        if (await_ready())
-            h.resume();
-        else
-            park();
+        w.e.unpark();
+        w.h.resume();
     }
 };
 
@@ -596,9 +573,9 @@ Simulator::awaitNonEmpty(Engine &e, FifoState &f, StallCause cause,
 
 Simulator::SpaceWait
 Simulator::awaitSpace(Engine &e, FifoState &f, StallCause cause,
-                      const char *why)
+                      const char *why, bool admit)
 {
-    return SpaceWait(*this, e, f, cause, why);
+    return SpaceWait(*this, e, f, cause, why, admit);
 }
 
 /**
@@ -703,12 +680,10 @@ Simulator::runUnit(Engine &e)
                         e.busExtra = extraCycles;
                         e.blockReason = "PMU bus";
                         e.blockDetail = u.name.c_str();
-                        e.grantWake = nullptr;
                         uint64_t blockedAt = sched_.now();
                         arbBus_.push_back(&e);
                         armArbiter();
                         co_await e.arbCv.wait();
-                        e.arbCv.wakeLanded();
                         if (e.arbResultAt > sched_.now())
                             co_await sched_.delay(e.arbResultAt - sched_.now());
                         e.stats.stallCycles[static_cast<int>(
@@ -731,9 +706,7 @@ Simulator::runUnit(Engine &e)
                         e.parkOn(Engine::WaitKind::DramWindow, -1,
                                  "DRAM outstanding limit", u.name);
                         uint64_t blockedAt = sched_.now();
-                        e.grantWake = nullptr;
                         co_await e.agCv.wait();
-                        e.agCv.wakeLanded();
                         noteWake(e, WakeClass::Dram,
                                  e.outstanding >= kAgOutstanding);
                         e.stats.stallCycles[static_cast<int>(
@@ -753,11 +726,9 @@ Simulator::runUnit(Engine &e)
                     stageBursts(e, addrs);
                     e.blockReason = "DRAM arbitration";
                     e.blockDetail = u.name.c_str();
-                    e.grantWake = nullptr;
                     arbDram_.push_back(&e);
                     armArbiter();
                     co_await e.arbCv.wait();
-                    e.arbCv.wakeLanded();
                     e.blockReason = "";
                     uint64_t completeAt = e.arbResultAt;
 
@@ -786,8 +757,11 @@ Simulator::runUnit(Engine &e)
                             opt_.fault->note(fault::FaultKind::DramTimeout,
                                              f.spec().name, sched_.now());
                         } else {
+                            // The response enters the fabric when it
+                            // returns, without first-hop admission.
                             co_await awaitSpace(e, f, StallCause::Credit,
-                                                "DRAM response space");
+                                                "DRAM response space",
+                                                /*admit=*/false);
                             f.pushWithDelay(e.resp.data(), lanes,
                                             completeAt > sched_.now()
                                                 ? completeAt - sched_.now()
@@ -811,9 +785,7 @@ Simulator::runUnit(Engine &e)
                         e.parkOn(Engine::WaitKind::DramDrain, -1,
                                  "DRAM write drain", u.name);
                         uint64_t blockedAt = sched_.now();
-                        e.grantWake = nullptr;
                         co_await e.agCv.wait();
-                        e.agCv.wakeLanded();
                         noteWake(e, WakeClass::Dram, e.outstanding > 0);
                         e.stats.stallCycles[static_cast<int>(
                             StallCause::DramLatency)] +=
@@ -863,9 +835,16 @@ Simulator::runUnit(Engine &e)
                         (u.kind == VuKind::MemPort || u.kind == VuKind::Ag)) {
                         auto &f =
                             fifos_[u.outputs[u.respOutput].stream.index()];
+                        // An AG's skip response enters the fabric like
+                        // its DRAM responses, behind the pending ones.
+                        const bool ag = u.kind == VuKind::Ag;
                         co_await awaitSpace(e, f, StallCause::Credit,
-                                            "skip response space");
-                        f.push(e.zeros.data(), std::max(1, e.activeLanes));
+                                            "skip response space", !ag);
+                        const int n = std::max(1, e.activeLanes);
+                        if (ag)
+                            f.pushWithDelay(e.zeros.data(), n, 0);
+                        else
+                            f.push(e.zeros.data(), n);
                     }
                     ++e.stats.skips;
                     e.stats.busyCycles += 1;
@@ -873,7 +852,6 @@ Simulator::runUnit(Engine &e)
                                    sched_.now(), u.id.v);
                     if (!opt_.traceFile.empty())
                         recordFiring(e, sched_.now(), 1, true);
-                    e.grantWake = nullptr;
                     co_await sched_.delay(1);
                 } else if (k == n) {
                     if (e.stats.firings == 0)
@@ -893,7 +871,6 @@ Simulator::runUnit(Engine &e)
                         recordFiring(e, sched_.now(), 1 + extraCycles, false);
                     e.flops += static_cast<uint64_t>(e.arithLops) *
                                e.activeLanes;
-                    e.grantWake = nullptr;
                     co_await sched_.delay(1 + extraCycles);
                 }
 
@@ -1117,10 +1094,9 @@ Simulator::trackOutstanding(Engine &e, uint64_t completeAt, bool timedOut)
                 // every intermediate completion as spurious, so it is
                 // notified only on the last one; a window waiter is
                 // unblocked by any completion.
-                if (eng->agCv.hasWaiters() &&
-                    (eng->waitKind != Engine::WaitKind::DramDrain ||
-                     eng->outstanding == 0))
-                    eng->agCv.notifyOne();
+                if (eng->waitKind != Engine::WaitKind::DramDrain ||
+                    eng->outstanding == 0)
+                    eng->agCv.notify();
             },
             &e, std::max(completeAt, sched_.now()));
     }
@@ -1244,7 +1220,7 @@ Simulator::resolveArbitration()
         *e->busSlot = grant + 1 + e->busExtra;
         e->busSlot = nullptr;
         e->arbResultAt = grant;
-        e->arbCv.notifyOne();
+        e->arbCv.notify();
     }
     arbBus_.clear();
     if (!arbDram_.empty()) {
@@ -1255,7 +1231,7 @@ Simulator::resolveArbitration()
                 maxComplete = std::max(
                     maxComplete, dram_.access(addr, bytes, now).completeAt);
             e->arbResultAt = maxComplete;
-            e->arbCv.notifyOne();
+            e->arbCv.notify();
         }
         arbDram_.clear();
     }
@@ -1264,6 +1240,8 @@ Simulator::resolveArbitration()
 void
 Simulator::sampleDram()
 {
+    if (opt_.traceFile.empty())
+        return; // Only the trace reads these series.
     uint64_t now = sched_.now();
     dramOutstandingSeries_.sample(now,
                                   static_cast<double>(dramOutstanding_));

@@ -120,7 +120,7 @@ const char *stallCauseName(StallCause cause);
 enum class WakeClass : uint8_t {
     FifoData,  ///< Consumer-side data/token arrival (FifoState::dataCv).
     FifoSpace, ///< Producer-side credit return (FifoState::spaceCv).
-    NocInject, ///< NoC first-hop link-slot grant (injectCv).
+    NocInject, ///< NoC first-hop admission of a staged flit.
     Dram,      ///< AG outstanding-window / write-drain completion.
 };
 inline constexpr int kNumWakeClasses = 4;
@@ -227,10 +227,10 @@ class Simulator
     /** Awaitable: the stream has a readable element. */
     DataWait awaitNonEmpty(Engine &e, FifoState &f, StallCause cause,
                            const char *why);
-    /** Awaitable: the stream has a credit (and, on NoC runs, its
-     *  first-hop link a free slot). */
+    /** Awaitable: the stream has a credit and, for a push on a NoC
+     *  stream (`admit`), the NoC admitted its flit. */
     SpaceWait awaitSpace(Engine &e, FifoState &f, StallCause cause,
-                         const char *why);
+                         const char *why, bool admit = true);
 
     // Firing work between the coroutine's awaits (plain functions).
     void evalLops(Engine &e);
@@ -289,6 +289,7 @@ class Simulator
     void buildTimeline(fault::FailureReport &fr) const;
     void recordFiring(const Engine &e, uint64_t start, uint64_t dur,
                       bool skip);
+    /** Sample the DRAM trace series (a no-op unless tracing). */
     void sampleDram();
     void writeTrace(const fault::FailureReport *failure = nullptr) const;
 
@@ -317,6 +318,8 @@ class Simulator
      *  populated when tracing (same gate as trace_). */
     std::array<telemetry::TimeSeries, 16> regionSeries_;
     std::array<uint64_t, 16> regionFirings_{};
+    /** DRAM requests in flight and bytes moved, sampled on every issue
+     *  and completion; only populated when tracing. */
     telemetry::TimeSeries dramOutstandingSeries_{4096, 8};
     telemetry::TimeSeries dramBytesSeries_{4096, 8};
 

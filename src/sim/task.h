@@ -87,7 +87,8 @@ class Task
 
 /**
  * Discrete-event scheduler: a two-level calendar queue of coroutine
- * resumptions. Same-cycle events run in insertion order.
+ * resumptions. Same-cycle events run in insertion order (or, for
+ * tests, in a seeded permutation: ScopedShuffle).
  *
  * Nearly every event in a dataflow simulation lands at `now + 0` or
  * `now + 1` (wakeups, firing delays, link grants); only DRAM responses
@@ -113,6 +114,31 @@ class Scheduler
 
     /** Near-window size (cycles) of the calendar wheel. Power of two. */
     static constexpr uint64_t kWheelCycles = 64;
+
+    /**
+     * Test seam for the interleave oracle: while a ScopedShuffle lives
+     * on a thread, every Scheduler constructed on that thread runs each
+     * cycle's events, and its end-of-cycle handlers, in a permutation
+     * drawn from `seed` (non-zero). Events a handler schedules for the
+     * same cycle still run after it. Simulated results must not depend
+     * on it; host events and wakeups may.
+     */
+    class ScopedShuffle
+    {
+      public:
+        explicit ScopedShuffle(uint64_t seed)
+            : prev_(std::exchange(shuffleSeed(), seed))
+        {
+        }
+        ~ScopedShuffle() { shuffleSeed() = prev_; }
+        ScopedShuffle(const ScopedShuffle &) = delete;
+        ScopedShuffle &operator=(const ScopedShuffle &) = delete;
+
+      private:
+        uint64_t prev_;
+    };
+
+    Scheduler() : shuffled_(shuffleSeed() != 0), rng_(shuffleSeed()) {}
 
     uint64_t now() const { return now_; }
 
@@ -258,6 +284,10 @@ class Scheduler
     void
     drainCycle()
     {
+        if (shuffled_) {
+            drainShuffled();
+            return;
+        }
         // Overflow entries for this cycle carry strictly smaller seq
         // than any bucket entry (see class comment): heap first,
         // bucket FIFO second. An overflow event scheduling at `now`
@@ -282,17 +312,71 @@ class Scheduler
         bucket.clear(); // Keeps capacity: steady state is alloc-free.
     }
 
-    /** Run the registered end-of-cycle handlers (index-based: a
-     *  handler may register further handlers for this same cycle). */
+    /** drainCycle() under a ScopedShuffle: run the cycle's events in
+     *  batches, each batch (the events scheduled before it began)
+     *  permuted. */
+    void
+    drainShuffled()
+    {
+        std::vector<Event> batch;
+        while (!overflow_.empty() && overflow_.top().at == now_) {
+            batch.push_back(overflow_.top());
+            overflow_.pop();
+            --pending_;
+        }
+        auto &bucket = buckets_[now_ & kWheelMask];
+        for (;;) {
+            pending_ -= bucket.size();
+            pendingNear_ -= bucket.size();
+            batch.insert(batch.end(), bucket.begin(), bucket.end());
+            bucket.clear();
+            if (batch.empty())
+                return;
+            permute(batch, 0);
+            for (const Event &e : batch) {
+                ++executed_;
+                e.fn(e.arg);
+            }
+            batch.clear();
+        }
+    }
+
+    /** Fisher-Yates over `v[from..]`, drawing from splitmix64. */
+    void
+    permute(std::vector<Event> &v, size_t from)
+    {
+        for (size_t i = v.size(); i > from + 1; --i) {
+            uint64_t z = (rng_ += 0x9e3779b97f4a7c15ULL);
+            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+            z ^= z >> 31;
+            std::swap(v[i - 1], v[from + z % (i - from)]);
+        }
+    }
+
+    /** Run the registered end-of-cycle handlers. A handler may register
+     *  further handlers for this same cycle; they run after it. */
     void
     runEndOfCycle()
     {
-        for (size_t i = 0; i < eoc_.size(); ++i) {
-            Event e = eoc_[i];
-            ++executed_;
-            e.fn(e.arg);
+        for (size_t i = 0; i < eoc_.size();) {
+            const size_t end = eoc_.size();
+            if (shuffled_)
+                permute(eoc_, i);
+            for (; i < end; ++i) {
+                Event e = eoc_[i];
+                ++executed_;
+                e.fn(e.arg);
+            }
         }
         eoc_.clear();
+    }
+
+    static uint64_t &
+    shuffleSeed()
+    {
+        static thread_local uint64_t seed = 0;
+        return seed;
     }
 
     /** Earliest pending event time (caller guarantees pending_ > 0). */
@@ -325,116 +409,72 @@ class Scheduler
     uint64_t executed_ = 0;
     bool budgetExceeded_ = false;
     bool cancelled_ = false;
+    bool shuffled_;
+    uint64_t rng_; ///< splitmix64 state (ScopedShuffle runs only).
 };
 
 /**
- * A wait list of callbacks. A notify schedules the woken callback at
- * the current time; the waiter then re-checks its condition. wait()
- * parks a callback that resumes the awaiting coroutine (level-triggered
- * use: `while (!cond) co_await cv.wait()`); park() takes any callback,
- * which lets an awaiter re-check and re-park without resuming its
- * coroutine. Both kinds share one list and one order.
- *
- * notifyOne() wakes only the front (FIFO) waiter and opens an
- * insertion cursor, so that same-cycle racers and the woken waiter's
- * own re-park (with `atCursor`) keep the wait-list order the cycle
- * goldens pin; see notifyOne().
+ * A single-waiter wait slot. Every wait in the simulator has exactly
+ * one possible waiter (a stream's one consumer or one producer, an
+ * engine on its own DRAM window or arbiter grant), so a slot replaces
+ * a list: park() fills it (asserting it was empty) and notify()
+ * schedules the parked callback at the current time and empties it.
+ * wait() parks a callback that resumes the awaiting coroutine
+ * (level-triggered use: `while (!cond) co_await cv.wait()`); park()
+ * takes any callback, which lets an awaiter re-check and re-park
+ * without resuming its coroutine.
  */
 class CondVar
 {
   public:
-    explicit CondVar(Scheduler &sched) { bind(sched); }
+    explicit CondVar(Scheduler &sched) : sched_(&sched) {}
     CondVar() = default;
 
-    void
-    bind(Scheduler &sched)
-    {
-        sched_ = &sched;
-        // Reserve once: park/notify cycles on the hot path then never
-        // reallocate (wait lists hold a handful of engines at most).
-        waiters_.reserve(4);
-    }
+    void bind(Scheduler &sched) { sched_ = &sched; }
 
     auto
-    wait(bool atCursor = false)
+    wait()
     {
         struct Awaiter
         {
             CondVar &cv;
-            bool atCursor;
             bool await_ready() const noexcept { return false; }
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                cv.park(&Scheduler::resumeFn, h.address(), atCursor);
+                cv.park(&Scheduler::resumeFn, h.address());
             }
             void await_resume() const noexcept {}
         };
-        return Awaiter{*this, atCursor};
+        return Awaiter{*this};
     }
 
-    /**
-     * Park the callback `fn(arg)`; a notify schedules it at the current
-     * time. With `atCursor` (or while a notifyOne wake is in flight)
-     * it goes to the notify cursor — see notifyOne().
-     */
+    /** Park the callback `fn(arg)`; a notify schedules it at the
+     *  current time. */
     void
-    park(Scheduler::EventFn fn, void *arg, bool atCursor = false)
+    park(Scheduler::EventFn fn, void *arg)
     {
-        size_t pos = atCursor || wakeInFlight_
-                         ? std::min(cursor_, waiters_.size())
-                         : waiters_.size();
-        waiters_.insert(waiters_.begin() + static_cast<ptrdiff_t>(pos),
-                        Waiter{fn, arg});
-        if (wakeInFlight_ && !atCursor)
-            ++cursor_; // Fresh racers stack up in arrival order.
+        SARA_ASSERT(!fn_, "second waiter on a single-waiter CondVar");
+        fn_ = fn;
+        arg_ = arg;
     }
 
-    /**
-     * Wake the longest-parked waiter only.
-     *
-     * The wait-list order the cycle goldens pin is the one a broadcast
-     * wakeup would rebuild: every waiter re-checks, so an engine that
-     * parks "fresh" before they resume lands *ahead* of every old
-     * waiter that re-parks behind it. notifyOne keeps that order by
-     * opening an insertion cursor at the list front: parks that
-     * execute while the wake is still in flight slot in before the
-     * surviving waiters, and the woken engine's own immediate re-park
-     * (a park with atCursor, see Engine::grantWake) lands right after
-     * them. The woken waiter's resume closes the window via
-     * wakeLanded().
-     */
+    /** Wake the parked waiter, if any. */
     void
-    notifyOne()
+    notify()
     {
-        if (waiters_.empty())
+        if (!fn_)
             return;
-        const Waiter w = waiters_.front();
-        sched_->scheduleFnAt(w.fn, w.arg, sched_->now());
-        waiters_.erase(waiters_.begin());
-        wakeInFlight_ = true;
-        cursor_ = 0;
+        sched_->scheduleFnAt(fn_, arg_, sched_->now());
+        fn_ = nullptr;
     }
 
-    /** The waiter woken by notifyOne ran; stop front-slotting fresh
-     *  parks (call on every wake, coroutine or callback). */
-    void wakeLanded() { wakeInFlight_ = false; }
-
-    bool hasWaiters() const { return !waiters_.empty(); }
+    bool hasWaiters() const { return fn_ != nullptr; }
 
   private:
-    struct Waiter
-    {
-        Scheduler::EventFn fn;
-        void *arg;
-    };
-
     Scheduler *sched_ = nullptr;
-    std::vector<Waiter> waiters_;
-    /** True between notifyOne() and the woken waiter's resume. */
-    bool wakeInFlight_ = false;
-    /** Front-insertion point while a wake is in flight. */
-    size_t cursor_ = 0;
+    Scheduler::EventFn fn_ = nullptr;
+    void *arg_ = nullptr;
 };
 
 } // namespace sara::sim

@@ -30,7 +30,7 @@ namespace sara::telemetry {
 /** Wall-time attribution buckets for the simulator event core. */
 enum class HostPhase : uint8_t {
     Other = 0, ///< Outside the marked regions (event core, compile, ...).
-    NocArb,    ///< NoC link polling and round-robin arbitration.
+    NocArb,    ///< The NoC's end-of-cycle arbitration pass.
     Dram,      ///< DRAM timing model (row hits, bus scheduling).
 };
 inline constexpr int kNumHostPhases = 3;

@@ -36,6 +36,32 @@ struct E2EResult
     compiler::CompileResult compiled;
 };
 
+/** EXPECT every tensor a simulation of `prog` produced to match the
+ *  sequential interpreter's `ref` within `tol`. */
+inline void
+expectMatchesInterpreter(const ir::Program &prog, const sim::SimResult &sim,
+                         const ir::InterpResult &ref, double tol = 1e-6)
+{
+    for (size_t t = 0; t < prog.numTensors(); ++t) {
+        const auto &simT = sim.tensors[t];
+        if (simT.empty())
+            continue; // Optimized away (fifo-lowered scratchpads).
+        const auto &refT = ref.tensors[t];
+        EXPECT_EQ(simT.size(), refT.size())
+            << "tensor " << prog.tensor(ir::TensorId(t)).name;
+        if (simT.size() != refT.size())
+            continue;
+        int mismatches = 0;
+        for (size_t i = 0; i < simT.size() && mismatches < 5; ++i) {
+            if (std::abs(refT[i] - simT[i]) > tol)
+                ++mismatches;
+            EXPECT_NEAR(refT[i], simT[i], tol)
+                << "tensor " << prog.tensor(ir::TensorId(t)).name
+                << " index " << i;
+        }
+    }
+}
+
 /**
  * Compile `p`, simulate it, interpret it sequentially, and EXPECT all
  * tensor contents to match. DRAM tensors get the provided inputs.
@@ -60,26 +86,7 @@ runAndCompare(const ir::Program &p, compiler::CompilerOptions opt,
     for (const auto &[tid, data] : dramInputs)
         simulator.setDramTensor(ir::TensorId(tid), data);
     out.sim = simulator.run();
-
-    const auto &prog = out.compiled.program;
-    for (size_t t = 0; t < prog.numTensors(); ++t) {
-        const auto &simT = out.sim.tensors[t];
-        if (simT.empty())
-            continue; // Optimized away (fifo-lowered scratchpads).
-        const auto &refT = out.ref.tensors[t];
-        EXPECT_EQ(simT.size(), refT.size())
-            << "tensor " << prog.tensor(ir::TensorId(t)).name;
-        if (simT.size() != refT.size())
-            continue;
-        int mismatches = 0;
-        for (size_t i = 0; i < simT.size() && mismatches < 5; ++i) {
-            if (std::abs(refT[i] - simT[i]) > tol)
-                ++mismatches;
-            EXPECT_NEAR(refT[i], simT[i], tol)
-                << "tensor " << prog.tensor(ir::TensorId(t)).name
-                << " index " << i;
-        }
-    }
+    expectMatchesInterpreter(out.compiled.program, out.sim, out.ref, tol);
     return out;
 }
 

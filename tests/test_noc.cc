@@ -4,7 +4,7 @@
  * dimension order), the estimator/model consistency contract
  * (`PnrReport::maxLinkLoad` == the NoC's static peak streams-per-link),
  * unit-level NoC behaviour (pipelined throughput, deterministic
- * round-robin arbitration, link-buffer admission), and the end-to-end
+ * round-robin arbitration, staged first-hop admission), and the end-to-end
  * acceptance bar: `--noc` changes cycle counts on a dense workload,
  * the delta lands in `StallCause::Network` with exact accounting, and
  * two identical runs are cycle-identical.
@@ -275,33 +275,39 @@ TEST(NocModel, SharedLinkArbitratesRoundRobinDeterministically)
 
 TEST(NocModel, AdmissionGateReflectsFirstHopBuffer)
 {
-    // canAccept mirrors the first-hop input buffer: `kLinkBuffer` flits
-    // enter immediately, then the producer must wait for a grant.
+    // Three producers stage a flit on one first-hop link in the same
+    // cycle. The end-of-cycle pass admits them in stream-id order (not
+    // staging order) while the link buffer has free slots: `kLinkBuffer`
+    // flits enter at once, and the third waits for the cycle after the
+    // link's first grant frees a slot.
     sim::Scheduler sched;
     noc::NocSpec spec;
     noc::NocModel model(sched, spec);
-    auto s = routedStream(7, {{0, 0, dfg::LinkDir::East},
-                              {1, 0, dfg::LinkDir::East}});
-    model.registerStream(s);
+    const std::vector<dfg::RouteLink> route = {
+        {0, 0, dfg::LinkDir::East}, {1, 0, dfg::LinkDir::East}};
+    for (int id : {5, 6, 7})
+        model.registerStream(routedStream(id, route));
 
-    std::vector<std::pair<int, uint64_t>> log;
+    std::vector<std::pair<int, uint64_t>> admitted, delivered;
     std::deque<Delivery> ctx;
-    for (int i = 0; i < noc::kLinkBuffer; ++i) {
-        EXPECT_TRUE(model.canAccept(s.id)) << i;
-        ctx.push_back({&sched, &log, 7});
-        model.inject(s.id, Delivery::fire, &ctx.back());
+    for (int id : {7, 5, 6}) {
+        Delivery &wake = ctx.emplace_back(Delivery{&sched, &admitted, id});
+        Delivery &done = ctx.emplace_back(Delivery{&sched, &delivered, id});
+        model.stage(dfg::StreamId(id), Delivery::fire, &done,
+                    Delivery::fire, &wake);
     }
-    EXPECT_FALSE(model.canAccept(s.id));
     sched.run();
-    EXPECT_TRUE(model.canAccept(s.id));
-    EXPECT_EQ(log.size(), static_cast<size_t>(noc::kLinkBuffer));
+    static_assert(noc::kLinkBuffer == 2);
+    EXPECT_EQ(admitted, (std::vector<std::pair<int, uint64_t>>{
+                            {5, 0}, {6, 0}, {7, 1}}));
+    EXPECT_EQ(delivered.size(), 3u);
+    EXPECT_EQ(model.inflight(), 0u);
 
     auto stats = model.stats();
     EXPECT_EQ(stats.links, 2);
     ASSERT_EQ(stats.linkUse.size(), 2u);
-    EXPECT_EQ(stats.linkUse[0].traversals,
-              static_cast<uint64_t>(noc::kLinkBuffer));
-    EXPECT_GE(stats.linkUse[0].queueHighWater,
+    EXPECT_EQ(stats.linkUse[0].traversals, 3u);
+    EXPECT_EQ(stats.linkUse[0].queueHighWater,
               static_cast<uint64_t>(noc::kLinkBuffer));
 }
 
@@ -317,7 +323,6 @@ TEST(NocModel, UnroutedStreamsDoNotParticipate)
     model.registerStream(token);
     EXPECT_FALSE(model.participates(data.id));
     EXPECT_TRUE(model.participates(token.id)); // CMMC rides the NoC.
-    EXPECT_TRUE(model.canAccept(data.id));
 
     // Under hierarchical-FSM control tokens keep their scalar latency.
     noc::NocSpec fsm;

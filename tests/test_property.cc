@@ -4,9 +4,10 @@
  * nests, branches, do-while, dynamic bounds, affine and indirect
  * accesses, reductions, par factors), the memory state after spatially
  * pipelined CMMC execution equals the sequential interpreter's —
- * across optimization variants and partitioners. The simulated timing
- * of every generated program (fixed-latency and NoC runs) is pinned by
- * tests/golden/property_sim.txt.
+ * across optimization variants and partitioners, on fixed-latency and
+ * NoC runs. The simulated timing of every generated program is pinned
+ * by tests/golden/property_sim.txt, and must not move when each
+ * cycle's events run in a seeded permutation.
  */
 
 #include <gtest/gtest.h>
@@ -78,6 +79,35 @@ timingLine(const std::string &key, const sim::SimResult &r)
     return os.str();
 }
 
+/** Simulate the compiled program on `so` (inputs preset). */
+sim::SimResult
+simulate(const test::E2EResult &res, const sim::SimOptions &so,
+         const std::map<int32_t, std::vector<double>> &dramInputs)
+{
+    sim::Simulator s(res.compiled.program, res.compiled.lowering.graph,
+                     dram::DramSpec::hbm2(), so);
+    for (const auto &[tid, data] : dramInputs)
+        s.setDramTensor(ir::TensorId(tid), data);
+    return s.run();
+}
+
+/** Cycles and stall totals do not depend on the host's order of each
+ *  cycle's events (three seeded permutations). */
+void
+expectInterleaveFree(const sim::SimResult &want, const test::E2EResult &res,
+                     const sim::SimOptions &so,
+                     const std::map<int32_t, std::vector<double>> &inputs,
+                     const char *mode)
+{
+    for (uint64_t seed : {1, 2, 3}) {
+        sim::Scheduler::ScopedShuffle shuffle(seed);
+        const sim::SimResult got = simulate(res, so, inputs);
+        EXPECT_EQ(got.cycles, want.cycles) << mode << " seed " << seed;
+        EXPECT_EQ(got.stallTotals, want.stallTotals)
+            << mode << " seed " << seed;
+    }
+}
+
 /**
  * Compare `lines` (keyed by their first two fields) against the golden
  * file; with SARA_UPDATE_GOLDEN set, replace those entries instead.
@@ -137,6 +167,8 @@ TEST_P(CmmcProperty, MatchesSequentialSemantics)
     SCOPED_TRACE(std::string("variant=") + v.name +
                  " seed=" + std::to_string(seed));
     auto res = runAndCompare(generated.program, v.opt, generated.dramInputs);
+    expectInterleaveFree(res.sim, res, sim::SimOptions{},
+                         generated.dramInputs, "fixed");
 
     // The same compiled program on the cycle-level NoC model.
     sim::SimOptions so;
@@ -144,11 +176,9 @@ TEST_P(CmmcProperty, MatchesSequentialSemantics)
     so.noc.hopLatency = v.opt.spec.net.hopLatency;
     so.noc.ejectLatency = v.opt.spec.net.ejectLatency;
     so.noc.minLatency = v.opt.spec.net.minLatency;
-    sim::Simulator noc(res.compiled.program, res.compiled.lowering.graph,
-                       dram::DramSpec::hbm2(), so);
-    for (const auto &[tid, data] : generated.dramInputs)
-        noc.setDramTensor(ir::TensorId(tid), data);
-    sim::SimResult nocRes = noc.run();
+    const sim::SimResult nocRes = simulate(res, so, generated.dramInputs);
+    test::expectMatchesInterpreter(res.compiled.program, nocRes, res.ref);
+    expectInterleaveFree(nocRes, res, so, generated.dramInputs, "noc");
 
     const std::string key =
         std::to_string(seed) + "/" + std::to_string(variantIdx);

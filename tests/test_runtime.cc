@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "compiler/lowering.h"
 #include "ir/builder.h"
 #include "runtime/run.h"
@@ -77,12 +82,27 @@ TEST(Runtime, TraceFileWritten)
     rc.compiler.pnrIterations = 200;
     rc.sim.traceFile = "/tmp/sara_test_trace.json";
     auto r = sara::runtime::runWorkload(w, rc);
-    (void)r;
     std::FILE *f = std::fopen("/tmp/sara_test_trace.json", "r");
     ASSERT_NE(f, nullptr);
     char first = static_cast<char>(std::fgetc(f));
     std::fclose(f);
     EXPECT_EQ(first, '['); // Chrome-trace array.
+    std::remove("/tmp/sara_test_trace.json");
+
+    // A NoC run's trace carries the link-load and DRAM counter tracks,
+    // whose series are recorded only when tracing.
+    rc.sim.useNoc = true;
+    rc.preCompiled = r.compiled.get();
+    sara::runtime::runWorkload(w, rc);
+    std::ifstream in("/tmp/sara_test_trace.json");
+    ASSERT_TRUE(in.good());
+    const std::string trace((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    for (const char *track : {"noc-link-load", "noc-busy-links",
+                              "dram-outstanding", "dram-bandwidth"})
+        EXPECT_NE(trace.find(std::string("\"") + track + "\""),
+                  std::string::npos)
+            << track;
     std::remove("/tmp/sara_test_trace.json");
 }
 

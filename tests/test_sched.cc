@@ -3,21 +3,25 @@
  * Event-core tests: the two-level calendar-queue Scheduler replayed
  * against a reference binary-heap implementation (the pre-optimization
  * event queue) on randomized self-scheduling workloads, plus direct
- * wheel-boundary, cycle-budget, and CondVar wait-list order checks.
+ * wheel-boundary, cycle-budget, shuffle-seam and single-waiter CondVar
+ * checks.
  * The property tests pin the determinism contract: events execute in
  * exact (time, scheduling-seq) order no matter which queue holds them.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <iterator>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
 
 #include "sim/task.h"
+#include "support/logging.h"
 #include "support/rng.h"
 
 namespace sara {
@@ -291,164 +295,124 @@ TEST(Scheduler, DrainAndReuse)
     EXPECT_EQ(s.now(), 1070u);
 }
 
-// --- CondVar wait-list order -----------------------------------------------
+// --- Shuffle seam -----------------------------------------------------------
 
-/** Takes `rounds` slots; logs its id per slot taken. Follows the
- *  simulator's notify protocol: wakeLanded() on resume, re-park at
- *  the notify cursor after a lost race. */
-Task
-slotTaker(Scheduler &sched, CondVar &cv, int &slots,
-          std::vector<int> &log, int id, int rounds, uint64_t startAt)
+/** Logs its id, and schedules `child` (if any) into the same cycle. */
+struct Spawner
 {
-    co_await sched.delay(startAt);
-    bool woken = false;
-    for (int r = 0; r < rounds; ++r) {
-        while (slots == 0) {
-            co_await cv.wait(woken);
-            cv.wakeLanded();
-            woken = true;
-        }
-        --slots;
-        log.push_back(id);
-        woken = false; // A successful take starts a fresh request.
-    }
-}
-
-TEST(CondVar, NotifyOneWakesLongestParked)
-{
-    Scheduler sched;
-    CondVar cv;
-    cv.bind(sched);
-    int slots = 0;
-    std::vector<int> log;
-    Task a = slotTaker(sched, cv, slots, log, 1, 1, 0);
-    Task b = slotTaker(sched, cv, slots, log, 2, 1, 0);
-    sched.scheduleAt(a.handle(), 0);
-    sched.scheduleAt(b.handle(), 0);
-    struct Ctx
-    {
-        CondVar *cv;
-        int *slots;
-    } ctx{&cv, &slots};
-    auto grant = [](void *p) {
-        auto *c = static_cast<Ctx *>(p);
-        ++*c->slots;
-        c->cv->notifyOne();
-    };
-    sched.scheduleFnAt(grant, &ctx, 5);
-    sched.scheduleFnAt(grant, &ctx, 6);
-    sched.run();
-    EXPECT_EQ(log, (std::vector<int>{1, 2})); // FIFO, not LIFO.
-    EXPECT_TRUE(a.done());
-    EXPECT_TRUE(b.done());
-}
-
-/** A slot grant event: one slot, and notifyOne wakes the list head. */
-struct Grant
-{
-    CondVar *cv;
-    int *slots;
+    Scheduler *sched;
+    std::vector<int> *log;
+    int id;
+    Spawner *child = nullptr;
 
     static void
     fire(void *p)
     {
-        auto *g = static_cast<Grant *>(p);
-        ++*g->slots;
-        g->cv->notifyOne();
+        auto *s = static_cast<Spawner *>(p);
+        s->log->push_back(s->id);
+        if (s->child)
+            s->sched->scheduleFnAt(&Spawner::fire, s->child, s->sched->now());
     }
 };
 
-/** Grant one slot at each of cycles 20, 21 and 22. The list head takes
- *  each slot uncontended, so the log reads the wait-list order. */
-void
-grantInListOrder(Scheduler &sched, Grant &grant)
+TEST(Scheduler, ScopedShufflePermutesACycleButKeepsCausality)
 {
-    for (uint64_t at : {20, 21, 22})
-        sched.scheduleFnAt(&Grant::fire, &grant, at);
-}
-
-TEST(CondVar, NotifyCursorMatchesBroadcastOrder)
-{
-    // The NoC grant scenario: A and B parked; a grant wakes A
-    // (notifyOne), but a same-cycle racer C — whose event runs before
-    // A's resume — takes the slot and parks a follow-up request. Under
-    // a broadcast, the wait list would rebuild as [C, A, B]: C parks
-    // into the emptied list first, then A re-parks, then B. The notify
-    // cursor must reproduce exactly that order.
-    Scheduler sched;
-    CondVar cv;
-    cv.bind(sched);
-    int slots = 0;
-    std::vector<int> log;
-    Task a = slotTaker(sched, cv, slots, log, 1, 1, 0);
-    Task b = slotTaker(sched, cv, slots, log, 2, 1, 0);
-    Task c = slotTaker(sched, cv, slots, log, 3, 2, 5);
-    sched.scheduleAt(a.handle(), 0);
-    sched.scheduleAt(b.handle(), 0);
-    sched.scheduleAt(c.handle(), 0); // Parks itself until cycle 5.
-    Grant grant{&cv, &slots};
-    // Cycle 5: one slot. notifyOne puts A's wake in flight; C's delay
-    // expiry (scheduled at cycle 0, smaller seq) runs first, steals
-    // the slot and parks its second request at the cursor. A then
-    // re-parks spuriously behind it: list [C, A, B].
-    sched.scheduleFnAt(&Grant::fire, &grant, 5);
-    grantInListOrder(sched, grant);
-    sched.run();
-    EXPECT_EQ(log, (std::vector<int>{3, 3, 1, 2}));
-    EXPECT_TRUE(a.done());
-    EXPECT_TRUE(b.done());
-    EXPECT_TRUE(c.done());
-}
-
-/** slotTaker's protocol as a callback waiter (the simulator's stream
- *  awaiters work this way): each wake either takes a slot or re-parks
- *  at the notify cursor, without any coroutine resuming. */
-struct CallbackTaker
-{
-    CondVar *cv;
-    int *slots;
-    std::vector<int> *log;
-    int id;
-
-    static void
-    wake(void *p)
-    {
-        auto *t = static_cast<CallbackTaker *>(p);
-        t->cv->wakeLanded();
-        if (*t->slots == 0) {
-            t->cv->park(&CallbackTaker::wake, t, /*atCursor=*/true);
-            return;
+    // Eight same-cycle events at cycle 3, each spawning a follow-up
+    // into cycle 3, and one event at cycle 4. Unshuffled, they run in
+    // scheduling order; shuffled, the eight run in some permutation,
+    // every follow-up after all eight (it joins the next batch), and
+    // cycle 4 last.
+    auto runOnce = [](uint64_t seed) {
+        std::unique_ptr<Scheduler::ScopedShuffle> scope;
+        if (seed)
+            scope = std::make_unique<Scheduler::ScopedShuffle>(seed);
+        Scheduler sched;
+        std::vector<int> log;
+        std::deque<Spawner> nodes;
+        for (int i = 0; i < 8; ++i) {
+            Spawner &child = nodes.emplace_back(Spawner{&sched, &log, 100 + i});
+            Spawner &parent = nodes.emplace_back(Spawner{&sched, &log, i});
+            parent.child = &child;
+            sched.scheduleFnAt(&Spawner::fire, &parent, 3);
         }
-        --*t->slots;
-        t->log->push_back(t->id);
-    }
-};
+        Spawner &late = nodes.emplace_back(Spawner{&sched, &log, 999});
+        sched.scheduleFnAt(&Spawner::fire, &late, 4);
+        sched.run();
+        return log;
+    };
 
-TEST(CondVar, CallbackWaitersKeepTheBroadcastOrder)
+    const std::vector<int> plain = runOnce(0);
+    EXPECT_EQ(plain, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 100, 101,
+                                       102, 103, 104, 105, 106, 107, 999}));
+    bool permuted = false;
+    for (uint64_t seed : {1, 2, 3}) {
+        const std::vector<int> log = runOnce(seed);
+        ASSERT_EQ(log.size(), plain.size()) << seed;
+        std::vector<int> parents(log.begin(), log.begin() + 8);
+        std::vector<int> children(log.begin() + 8, log.begin() + 16);
+        permuted = permuted || parents != std::vector<int>(plain.begin(),
+                                                           plain.begin() + 8);
+        std::sort(parents.begin(), parents.end());
+        std::sort(children.begin(), children.end());
+        EXPECT_EQ(parents, std::vector<int>(plain.begin(), plain.begin() + 8))
+            << seed;
+        EXPECT_EQ(children,
+                  std::vector<int>(plain.begin() + 8, plain.begin() + 16))
+            << seed;
+        EXPECT_EQ(log.back(), 999) << seed;
+        EXPECT_EQ(runOnce(seed), log) << "seed " << seed << " replays";
+    }
+    EXPECT_TRUE(permuted);
+    EXPECT_EQ(runOnce(0), plain); // The scope ended with its run.
+}
+
+// --- CondVar ----------------------------------------------------------------
+
+/** Parks on `cv` until `ready`, then logs the cycle it saw it. */
+Task
+waiter(CondVar &cv, Scheduler &sched, const bool &ready,
+       std::vector<uint64_t> &log)
 {
-    // NotifyCursorMatchesBroadcastOrder with A as a callback waiter on
-    // the same CondVar as the coroutines B and C: A loses the cycle-5
-    // race to C and re-parks at the cursor from inside its own wake.
-    // The wait list must rebuild as [C, A, B] all the same.
+    while (!ready)
+        co_await cv.wait();
+    log.push_back(sched.now());
+}
+
+TEST(CondVar, HoldsOneWaiterAndWakesItOnNotify)
+{
+    // Every wait in the simulator has exactly one possible waiter: a
+    // notify with nobody parked is a no-op, a notify wakes the parked
+    // waiter in the current cycle, and a second park is a bug.
     Scheduler sched;
-    CondVar cv;
-    cv.bind(sched);
-    int slots = 0;
-    std::vector<int> log;
-    CallbackTaker a{&cv, &slots, &log, 1};
-    cv.park(&CallbackTaker::wake, &a);
-    Task b = slotTaker(sched, cv, slots, log, 2, 1, 0);
-    Task c = slotTaker(sched, cv, slots, log, 3, 2, 5);
-    sched.scheduleAt(b.handle(), 0);
-    sched.scheduleAt(c.handle(), 0);
-    Grant grant{&cv, &slots};
-    sched.scheduleFnAt(&Grant::fire, &grant, 5);
-    grantInListOrder(sched, grant);
+    CondVar cv(sched);
+    bool ready = false;
+    std::vector<uint64_t> log;
+    cv.notify(); // Nobody parked: nothing scheduled.
+    EXPECT_TRUE(sched.idle());
+
+    Task t = waiter(cv, sched, ready, log);
+    sched.scheduleAt(t.handle(), 0);
     sched.run();
-    EXPECT_EQ(log, (std::vector<int>{3, 3, 1, 2}));
+    EXPECT_TRUE(cv.hasWaiters());
+    EXPECT_THROW(cv.park(&Scheduler::resumeFn, nullptr), PanicError);
+
+    struct Ctx
+    {
+        CondVar *cv;
+        bool *ready;
+    } ctx{&cv, &ready};
+    auto spurious = [](void *p) { static_cast<Ctx *>(p)->cv->notify(); };
+    auto grant = [](void *p) {
+        auto *c = static_cast<Ctx *>(p);
+        *c->ready = true;
+        c->cv->notify();
+    };
+    sched.scheduleFnAt(spurious, &ctx, 5); // Re-checks and re-parks.
+    sched.scheduleFnAt(grant, &ctx, 9);
+    sched.run();
+    EXPECT_EQ(log, (std::vector<uint64_t>{9}));
     EXPECT_FALSE(cv.hasWaiters());
-    EXPECT_TRUE(b.done());
-    EXPECT_TRUE(c.done());
+    EXPECT_TRUE(t.done());
 }
 
 } // namespace

@@ -657,7 +657,9 @@ expectIdentity(const IdentityRow &row, bool noc)
     auto w = workloads::buildByName(row.name, cfg);
     runtime::RunConfig rc;
     rc.sim.useNoc = noc;
+    rc.check = true;
     auto r = runtime::runWorkload(w, rc);
+    EXPECT_TRUE(r.correct) << row.name;
     EXPECT_EQ(r.sim.cycles, row.cycles) << row.name;
     EXPECT_EQ(r.sim.hostEvents, row.hostEvents) << row.name;
     EXPECT_EQ(r.sim.wakeups, row.wakeups) << row.name;
@@ -691,24 +693,82 @@ TEST(CycleIdentity, FixedLatencyGoldens)
 TEST(CycleIdentity, NocGoldens)
 {
     static constexpr IdentityRow kGolden[] = {
-        {"mlp", 71004, 1239205, 88625, 12297},
-        {"lstm", 15509, 308056, 48805, 859},
-        {"snet", 10056, 103947, 1633, 4},
-        {"pr", 6936, 131346, 16209, 2234},
-        {"bs", 445, 8626, 879, 10},
-        {"sort", 6903, 112843, 6115, 175},
-        {"rf", 19773, 2436331, 177047, 15146},
-        {"ms", 1310, 10851, 1042, 4},
-        {"kmeans", 3066, 51935, 4992, 94},
-        {"gda", 19035, 78227, 9608, 31},
-        {"logreg", 9798, 52588, 5341, 21},
-        {"sgd", 4309, 38678, 2225, 87},
-        {"mlp_graph", 4538, 60723, 1253, 52},
-        {"transformer_cell", 2190, 47817, 2151, 252},
-        {"resnet_block", 4546, 51836, 1078, 0},
+        {"mlp", 70949, 999072, 191455, 0},
+        {"lstm", 15368, 267254, 71683, 0},
+        {"snet", 10052, 111931, 19272, 0},
+        {"pr", 6720, 120178, 31676, 0},
+        {"bs", 443, 6300, 1374, 0},
+        {"sort", 6931, 62308, 9539, 0},
+        {"rf", 17363, 1275189, 300444, 0},
+        {"ms", 1302, 12430, 2600, 0},
+        {"kmeans", 3058, 45638, 9979, 0},
+        {"gda", 19031, 77649, 19483, 0},
+        {"logreg", 9777, 49023, 11887, 0},
+        {"sgd", 4309, 32236, 5964, 0},
+        {"mlp_graph", 4482, 53832, 8433, 0},
+        {"transformer_cell", 2188, 37408, 5875, 0},
+        {"resnet_block", 4546, 52336, 8579, 0},
     };
     for (const auto &row : kGolden)
         expectIdentity(row, /*noc=*/true);
+}
+
+/** The simulated outcome the interleave oracle holds fixed: cycles,
+ *  stall totals, each unit's firings, busy, stall and idle cycles, and
+ *  the final tensors. FIFO high water is left out: it is a mid-cycle
+ *  quantity (a push before a same-cycle pop raises it by one). */
+void
+expectSameOutcome(const SimResult &want, const SimResult &got,
+                  const std::string &what)
+{
+    EXPECT_EQ(got.cycles, want.cycles) << what;
+    EXPECT_EQ(got.stallTotals, want.stallTotals) << what;
+    ASSERT_EQ(got.unitStats.size(), want.unitStats.size()) << what;
+    for (size_t i = 0; i < want.unitStats.size(); ++i) {
+        const UnitStats &a = want.unitStats[i], &b = got.unitStats[i];
+        EXPECT_EQ(b.firings, a.firings) << what << ", unit " << i;
+        EXPECT_EQ(b.busyCycles, a.busyCycles) << what << ", unit " << i;
+        EXPECT_EQ(b.stallCycles, a.stallCycles) << what << ", unit " << i;
+        EXPECT_EQ(got.cycles - b.doneAt, want.cycles - a.doneAt)
+            << what << ", unit " << i << " idle cycles";
+    }
+    EXPECT_EQ(got.tensors, want.tensors) << what;
+}
+
+/** The interleave oracle: simulated results follow from the compiled
+ *  design alone. Every workload at par 8, on fixed-latency HBM2 and
+ *  DDR3 and on the NoC, must give the unshuffled run's outcome when
+ *  each cycle's events run in a seeded permutation instead. */
+TEST(CycleIdentity, InterleaveFree)
+{
+    struct Mode
+    {
+        const char *name;
+        bool noc;
+        dram::DramSpec dram;
+    };
+    const Mode modes[] = {{"fixed hbm2", false, dram::DramSpec::hbm2()},
+                          {"fixed ddr3", false, dram::DramSpec::ddr3()},
+                          {"noc", true, dram::DramSpec::hbm2()}};
+    for (const auto &name : workloads::allWorkloadNames()) {
+        workloads::WorkloadConfig cfg;
+        cfg.par = 8;
+        auto w = workloads::buildByName(name, cfg);
+        runtime::RunConfig rc;
+        const auto compiled = runtime::runWorkload(w, rc).compiled;
+        rc.preCompiled = compiled.get();
+        for (const Mode &m : modes) {
+            rc.dram = m.dram;
+            rc.sim.useNoc = m.noc;
+            const SimResult base = runtime::runWorkload(w, rc).sim;
+            for (uint64_t seed : {1, 2, 3}) {
+                Scheduler::ScopedShuffle shuffle(seed);
+                expectSameOutcome(base, runtime::runWorkload(w, rc).sim,
+                                  name + " " + m.name + " seed " +
+                                      std::to_string(seed));
+            }
+        }
+    }
 }
 
 /** Seeded fault-injection replays must also stay cycle-exact: the
@@ -729,7 +789,7 @@ TEST(CycleIdentity, InjectedReplayGoldens)
         {"ms", "dram-tail@0.5:delay=200", false, 2, 1902},
         {"ms", "dram-tail@0.5:delay=200", false, 3, 1902},
         {"ms", "fifo-leak@0.2", false, 1, 4111},
-        {"mlp", "noc-delay@0.2:delay=8", true, 1, 96465},
+        {"mlp", "noc-delay@0.2:delay=8", true, 1, 97683},
     };
     for (const auto &row : kGolden) {
         workloads::WorkloadConfig cfg;
