@@ -63,14 +63,6 @@ NocModel::participates(dfg::StreamId id) const
     return idx < streams_.size() && streams_[idx].participates;
 }
 
-const NocModel::Link &
-NocModel::firstLink(dfg::StreamId id) const
-{
-    const StreamState &ss = streams_[id.index()];
-    SARA_ASSERT(ss.participates, "stream does not ride the NoC");
-    return links_[ss.path.front()];
-}
-
 int
 NocModel::freeSlots(const Link &link) const
 {
@@ -86,7 +78,7 @@ NocModel::firstLinkSite(dfg::StreamId id) const
 {
     if (!participates(id))
         return "";
-    return firstLink(id).site;
+    return links_[streams_[id.index()].path.front()].site;
 }
 
 const std::string &

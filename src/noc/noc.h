@@ -193,30 +193,31 @@ class NocModel
         bool duped = false; ///< Already paid a duplicated traversal.
     };
 
-    /** One directed link: input buffer + single-grant-per-cycle port. */
+    /** One directed link: input buffer + single-grant-per-cycle port.
+     *  The fields a pass visit reads come first, so that a visit
+     *  touches few cache lines. */
     struct Link
     {
-        dfg::RouteLink where;
-        int idx = -1;     ///< Index into links_ (flight-event key).
-        std::string site; ///< "(x,y)D" — fault-injection site name.
-        int streams = 0;          ///< Static load (routed streams).
         std::vector<Flit *> q;    ///< Waiting flits, arrival order.
-        int reserved = 0;         ///< Slots held by in-transit flits.
-        uint64_t freeAt = 0;      ///< Next cycle a grant is possible.
-        int rrCursor = -1;        ///< Stream id of the last grant.
-        int inCursor = -1;        ///< Stream id of the last entry.
         /** Streams with a staged first-hop request here. */
         std::vector<int> staged;
+        uint64_t freeAt = 0;      ///< Next cycle a grant is possible.
+        int incoming = 0; ///< Flits queued upstream with this next hop.
+        int reserved = 0;         ///< Slots held by in-transit flits.
+        int rrCursor = -1;        ///< Stream id of the last grant.
+        int inCursor = -1;        ///< Stream id of the last entry.
+        int idx = -1;     ///< Index into links_ (flight-event key).
         /** Streams whose upstream flit this link took in during pass
          *  `acceptedIn`, each holding one of its free slots. */
         std::vector<int> accepted;
         uint64_t acceptedIn = 0;
-        int incoming = 0; ///< Flits queued upstream with this next hop.
         std::vector<int> upstream; ///< Links feeding this one.
         uint64_t traversals = 0, waitCycles = 0, qHighWater = 0;
+        dfg::RouteLink where;
+        std::string site; ///< "(x,y)D" — fault-injection site name.
+        int streams = 0;          ///< Static load (routed streams).
     };
 
-    const Link &firstLink(dfg::StreamId id) const;
     /** Buffer slots usable for new flits: kLinkBuffer minus occupancy,
      *  reservations and any injected stuck credits. */
     int freeSlots(const Link &link) const;
